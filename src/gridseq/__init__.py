@@ -11,20 +11,24 @@ cross-checked against OEIS b-file reference data.
 
 from .oracle import VerificationReport, traverse, verify_scheme
 from .pairing import (
+    alternating_decode,
     alternating_encode,
     angle_decode,
     angle_encode,
+    boustrophedon_decode,
     boustrophedon_encode,
     cantor_decode,
     cantor_encode,
     cantor_z,
     cantor_z_decode,
+    center_out_decode,
     center_out_encode,
+    edges_in_decode,
     edges_in_encode,
     oxplow_decode,
     oxplow_encode,
 )
-from .schemes import Scheme, decode, decode_by_search, encode, parse_scheme, tiling_scheme
+from .schemes import Scheme, decode, encode, parse_scheme, tiling_scheme
 from .sources import (
     BudgetExceededError,
     NonPositiveTermError,

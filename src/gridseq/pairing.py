@@ -75,12 +75,22 @@ def cantor_z_decode(z: int) -> tuple[int, int]:
 
 
 # -- permuted diagonal enumerations ------------------------------------------
+# Position n is the p-th cell of the diagonal i + j = t + 2; each decoder
+# inverts its scheme's permutation of that diagonal to the row i = r.
 
 def boustrophedon_encode(i: int, j: int) -> int:
     """Diagonal order with neighbouring diagonals traversed in opposite directions."""
     _check_cell(i, j)
     sign = 1 if (i + j) % 2 == 0 else -1
     return ((i + j - 1) * (i + j - 2) - (sign - 1) * i + (sign + 1) * j) // 2
+
+
+def boustrophedon_decode(n: int) -> Cell:
+    """Inverse of boustrophedon_encode: even t runs bottom-left to top-right."""
+    t = diagonal_index(n)
+    p = n - triangle(t)
+    r = p if t % 2 else t + 2 - p
+    return r, t + 2 - r
 
 
 def center_out_encode(i: int, j: int) -> int:
@@ -92,6 +102,14 @@ def center_out_encode(i: int, j: int) -> int:
     return n
 
 
+def center_out_decode(n: int) -> Cell:
+    """Inverse of center_out_encode: p // 2 steps from the centre, side set by p + t."""
+    t = diagonal_index(n)
+    p = n - triangle(t)
+    r = t // 2 + 1 + (p // 2 if (p + t) % 2 else -(p // 2))
+    return r, t + 2 - r
+
+
 def edges_in_encode(i: int, j: int) -> int:
     """Diagonal order walking each diagonal symmetrically from its edges inwards."""
     _check_cell(i, j)
@@ -100,11 +118,27 @@ def edges_in_encode(i: int, j: int) -> int:
     return j * (2 * j - 1) + (i - j) * (3 * j + i - 3) // 2 + 1
 
 
+def edges_in_decode(n: int) -> Cell:
+    """Inverse of edges_in_encode: odd p walk down from the top edge, even p up from the bottom."""
+    t = diagonal_index(n)
+    p = n - triangle(t)
+    r = (p + 1) // 2 if p % 2 else t + 2 - p // 2
+    return r, t + 2 - r
+
+
 def alternating_encode(i: int, j: int) -> int:
     """Diagonal order alternating sides edge-to-centre, reversing on neighbours."""
     _check_cell(i, j)
     sign = 1 if max(i, j) % 2 == 0 else -1
     return ((i + j - 1) * (i + j - 2) + (sign + 1) * i - (sign - 1) * j) // 2
+
+
+def alternating_decode(n: int) -> Cell:
+    """Inverse of alternating_encode: the offset p is i when max(i, j) is even, else j."""
+    t = diagonal_index(n)
+    p = n - triangle(t)
+    r = p if max(p, t + 2 - p) % 2 == 0 else t + 2 - p
+    return r, t + 2 - r
 
 
 # -- square-shell enumerations -----------------------------------------------

@@ -1,13 +1,13 @@
 """Enumeration scheme descriptors and the encode/decode dispatch over them.
 
 A :class:`Scheme` names one bijection between grid cells and positions:
-one of the eight closed-form enumerations, or a rectangle tiling with an
-inner numbering order.  ``cantor0`` is the zero-based classic and works on
-pairs (x, y) >= 0; every other scheme works on 1-based cells.
+one of the eight enumerations, each encoded and decoded in closed form, or
+a rectangle tiling with an inner numbering order.  ``cantor0`` is the
+zero-based classic and works on pairs (x, y) >= 0; every other scheme works
+on 1-based cells.
 """
 
 from dataclasses import dataclass
-from math import isqrt
 
 from . import pairing, tiling
 from .pairing import Cell
@@ -35,9 +35,13 @@ _ENCODERS = {
     "oxplow": pairing.oxplow_encode,
 }
 
-_CLOSED_DECODERS = {
+_DECODERS = {
     "cantor": pairing.cantor_decode,
     "cantor0": pairing.cantor_z_decode,
+    "boustrophedon": pairing.boustrophedon_decode,
+    "center-out": pairing.center_out_decode,
+    "edges-in": pairing.edges_in_decode,
+    "alternating": pairing.alternating_decode,
     "angle": pairing.angle_decode,
     "oxplow": pairing.oxplow_decode,
 }
@@ -109,52 +113,7 @@ def encode(scheme: Scheme, i: int, j: int) -> int:
 
 
 def decode(scheme: Scheme, n: int) -> Cell:
-    """Cell at position n: closed form where one exists, else bounded block search."""
+    """Cell at position n under the scheme."""
     if scheme.kind == "tiling":
         return tiling.rect_decode(n, scheme.tiling, scheme.order)
-    closed = _CLOSED_DECODERS.get(scheme.kind)
-    if closed is not None:
-        return closed(n)
-    return decode_by_search(scheme, n)
-
-
-def _block_cells(scheme: Scheme, n: int):
-    """Cells of the one diagonal/shell/tile that must contain position n."""
-    if scheme.kind == "cantor0":
-        s = (isqrt(8 * n + 1) - 1) // 2
-        return [(x, s - x) for x in range(s + 1)]
-    if scheme.kind in ("angle", "oxplow"):
-        s = pairing.shell_index(n)
-        return [(i, s) for i in range(1, s + 1)] + [(s, j) for j in range(s - 1, 0, -1)]
-    if scheme.kind == "tiling":
-        spec = scheme.tiling
-        d = 0
-        while spec.diag_cells(d) < n:
-            d += 1
-        base = spec.diag_cells(d - 1) if d else 0
-        for R in range(d + 1):
-            S = d - R
-            size = spec.height(R + 1) * spec.length(S + 1)
-            if base + size >= n:
-                i0, j0 = spec.hsum(R), spec.lsum(S)
-                return [
-                    (i0 + a, j0 + b)
-                    for a in range(1, spec.height(R + 1) + 1)
-                    for b in range(1, spec.length(S + 1) + 1)
-                ]
-            base += size
-        raise AssertionError("unreachable: diagonal walk missed its own count")
-    d = pairing.diagonal_index(n) + 1
-    return [(r, d + 1 - r) for r in range(1, d + 1)]
-
-
-def decode_by_search(scheme: Scheme, n: int) -> Cell:
-    """Invert encode by scanning only the block that must contain position n."""
-    if n < first_index(scheme):
-        raise ValueError(f"position must be >= {first_index(scheme)}, got {n}")
-    if scheme.kind != "cantor0":
-        pairing._check_index(n)
-    for cell in _block_cells(scheme, n):
-        if encode(scheme, *cell) == n:
-            return cell
-    raise AssertionError(f"no cell in the containing block encodes to {n} under {scheme}")
+    return _DECODERS[scheme.kind](n)

@@ -8,6 +8,7 @@ arithmetic is exact throughout.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from math import isqrt
 
 from . import schemes as _schemes
@@ -175,10 +176,11 @@ def eta(d: int, n: int) -> int:
         raise ValueError(f"tuple depth must be >= 1, got {d}")
     if n < 1:
         raise ValueError(f"position must be >= 1, got {n}")
-    if d == 1:
-        return n
-    m1, m2 = pair_indices(n)
-    return concat_numbers(eta(d - 1, m1), m2)
+    suffixes = []
+    for _ in range(d - 1):  # eta(d, n) = concat(eta(d - 1, m1), m2)
+        n, m2 = pair_indices(n)
+        suffixes.append(m2)
+    return reduce(concat_numbers, reversed(suffixes), n)
 
 
 # -- several-sequence families ---------------------------------------------------

@@ -47,6 +47,9 @@ def test_generate_families(capsys):
     assert code == 0 and out.split() == ["1", "1", "2", "1", "2", "3"]
     code, out, _ = run(capsys, "generate", "--family", "eta", "--d", "2", "--count", "6")
     assert code == 0 and out.split() == ["11", "12", "21", "13", "22", "31"]
+    # deeper than the default recursion limit
+    code, out, _ = run(capsys, "generate", "--family", "eta", "--d", "2000", "--count", "1")
+    assert (code, out) == (0, "1" * 2000 + "\n")
     code, out, _ = run(capsys, "generate", "--family", "self-compose", "--alpha", "phi", "--count", "6")
     assert code == 0 and out.split() == ["1", "1", "1", "1", "1", "2"]
     code, out, _ = run(capsys, "generate", "--family", "shifted-columns", "--k", "2",

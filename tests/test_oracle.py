@@ -122,6 +122,8 @@ def test_traversal_code_is_formula_free():
         "triangle(",
         ".encode(",
         "pairing.",
+        "_decode",
+        "decode(",
     )
     for name in forbidden:
         assert name not in walk_code, f"oracle walk references {name}"
