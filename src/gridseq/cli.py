@@ -3,8 +3,9 @@
 Subcommands: ``encode``, ``decode``, ``generate``, ``verify``,
 ``oeis-check``.  Exit codes: 0 success, 1 verification or comparison
 mismatch, 2 bad arguments, 3 a source ran out, hit a value budget, or
-produced an unusable term (the failing position is reported), 4 not
-enough reference data, 5 network failure in online mode.
+produced an unusable term, e.g. a non-positive term where an index or
+concatenation needs one (the failing position is reported), 4 not enough
+reference data, 5 network failure in online mode.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from . import oeis, oracle, schemes, transforms
 from .schemes import SIMPLE_KINDS, Scheme, parse_scheme, tiling_scheme
 from .sources import SourceError, parse_source
 from .tiling import ORDERS, SpecExhaustedError
-from .transforms import FAMILIES, TransformSpec
+from .transforms import FAMILIES, FAMILY_TABLE, SEVERAL, TransformSpec
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -23,29 +24,6 @@ EXIT_USAGE = 2
 EXIT_SOURCE = 3
 EXIT_INSUFFICIENT = 4
 EXIT_NETWORK = 5
-
-_ONE_SOURCE_FAMILIES = (
-    "reluctant",
-    "reverse-reluctant",
-    "double-reluctant",
-    "self-compose",
-    "shifted-columns",
-    "max-shift",
-    "segment-shift",
-    "shifted-columns-angle",
-    "max-shift-angle",
-    "segment-shift-angle",
-    "superpose",
-)
-_K_FAMILIES = (
-    "shifted-columns",
-    "max-shift",
-    "segment-shift",
-    "shifted-columns-angle",
-    "max-shift-angle",
-    "segment-shift-angle",
-)
-
 
 def _add_scheme_flags(sub):
     sub.add_argument("--scheme", required=True, help="scheme name, e.g. cantor, angle, tiling")
@@ -83,36 +61,40 @@ def _source(parser, flag, text):
 
 
 def _transform_from_args(parser, args) -> tuple[TransformSpec, list]:
-    family = args.family
-    if family not in FAMILIES:
-        parser.error(f"--family: unknown family {family!r}")
-    k = args.k
-    if family in _K_FAMILIES and k is None:
-        parser.error(f"--k is required for family {family}")
+    family = FAMILY_TABLE[args.family]
+    if family.needs_k and args.k is None:
+        parser.error(f"--k is required for family {args.family}")
     spec = TransformSpec(
-        family=family,
-        k=k if k is not None else (1 if family == "pair" else 0),
+        family=args.family,
+        k=1 if args.k is None else args.k,
         d=args.d,
         combiner=args.combiner,
         convention=args.convention,
         inner=_parse_schemeish(parser, "--inner", args.inner) if args.inner else None,
         outer=_parse_schemeish(parser, "--outer", args.outer) if args.outer else None,
     )
-    if family == "eta":
-        return spec, []
-    if family == "pair":
-        return spec, [
-            _source(parser, "--alpha", args.alpha),
-            _source(parser, "--beta", args.beta or "id"),
-        ]
-    if family in ("multi-replicate", "braid", "segment-braid"):
-        if not args.sources or len(args.sources) < 2:
-            parser.error(f"--sources: family {family} needs at least 2 source specs")
-        return spec, [_source(parser, "--sources", s) for s in args.sources]
-    if family == "superpose":
-        if spec.inner is None or spec.outer is None:
-            parser.error("--inner and --outer are required for family superpose")
-    return spec, [_source(parser, "--alpha", args.alpha)]
+    if family.sources == SEVERAL:
+        return spec, [_source(parser, "--sources", s) for s in args.sources or ()]
+    flags = (("--alpha", args.alpha), ("--beta", args.beta or "id"))[:family.sources]
+    return spec, [_source(parser, flag, text) for flag, text in flags]
+
+
+def _family_flags() -> argparse.ArgumentParser:
+    """The flags that name a transformation, shared by generate and oeis-check."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--family", required=True, choices=FAMILIES, metavar="FAMILY",
+                   help=f"one of: {', '.join(FAMILIES)}")
+    p.add_argument("--alpha", default="id", help="first input sequence (default id)")
+    p.add_argument("--beta", help="second input sequence, for --family pair")
+    p.add_argument("--sources", nargs="+", help="input sequences, for the several-sequence families")
+    p.add_argument("--k", type=int, help="shift parameter / power-sum exponent")
+    p.add_argument("--d", type=int, default=2, help="tuple depth for --family eta")
+    p.add_argument("--combiner", default="product", help="pair combiner: product, power-sum, concat, iterate")
+    p.add_argument("--convention", default="linear", choices=("linear", "doubling"),
+                   help="self-composition reading")
+    p.add_argument("--inner", help="inner scheme for --family superpose, e.g. tiling:const:3x2:row")
+    p.add_argument("--outer", help="outer scheme for --family superpose, e.g. center-out")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,18 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_flags(p)
     p.add_argument("--n", type=int, required=True)
 
-    p = commands.add_parser("generate", help="first terms of a transformed sequence")
-    p.add_argument("--family", required=True, help=f"one of: {', '.join(FAMILIES)}")
-    p.add_argument("--alpha", default="id", help="first input sequence (default id)")
-    p.add_argument("--beta", help="second input sequence, for --family pair")
-    p.add_argument("--sources", nargs="+", help="input sequences, for the several-sequence families")
-    p.add_argument("--k", type=int, help="shift parameter / power-sum exponent")
-    p.add_argument("--d", type=int, default=2, help="tuple depth for --family eta")
-    p.add_argument("--combiner", default="product", help="pair combiner: product, power-sum, concat, iterate")
-    p.add_argument("--convention", default="linear", choices=("linear", "doubling"),
-                   help="self-composition reading")
-    p.add_argument("--inner", help="inner scheme for --family superpose, e.g. tiling:const:3x2:row")
-    p.add_argument("--outer", help="outer scheme for --family superpose, e.g. center-out")
+    family_flags = _family_flags()
+    p = commands.add_parser("generate", parents=[family_flags],
+                            help="first terms of a transformed sequence")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", default="plain", choices=("plain", "json"))
 
@@ -150,17 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_flags(p)
     p.add_argument("--n-max", type=int, required=True)
 
-    p = commands.add_parser("oeis-check", help="compare a generated prefix against OEIS reference data")
-    p.add_argument("--family", required=True)
-    p.add_argument("--alpha", default="id")
-    p.add_argument("--beta")
-    p.add_argument("--sources", nargs="+")
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--combiner", default="product")
-    p.add_argument("--convention", default="linear", choices=("linear", "doubling"))
-    p.add_argument("--inner")
-    p.add_argument("--outer")
+    p = commands.add_parser("oeis-check", parents=[family_flags],
+                            help="compare a generated prefix against OEIS reference data")
     p.add_argument("--anum", required=True, help="A-number, e.g. A002260")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--alignment", default="auto", help="'auto' or the b-file index of term 1")

@@ -7,9 +7,11 @@ here); the value operations just look the index up in the source.  Index
 arithmetic is exact throughout.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 from math import isqrt
+from typing import NamedTuple
 
 from . import schemes as _schemes
 from .pairing import cantor_decode, diagonal_index, half_round_sqrt, triangle
@@ -90,6 +92,16 @@ def segment_shift(alpha: SequenceSource, k: int, n: int) -> int:
     return alpha.value(segment_shift_index(k, n))
 
 
+def _positive_value(source: SequenceSource, m: int, use: str) -> int:
+    v = source.value(m)
+    if v < 1:
+        raise NonPositiveTermError(
+            f"{source.name}({brief_int(m)}) = {brief_int(v)}; {use} needs positive terms",
+            index=m,
+        )
+    return v
+
+
 def _compose(source: SequenceSource, start: int, times: int) -> int:
     if start < 1:
         raise NonPositiveTermError(
@@ -101,7 +113,7 @@ def _compose(source: SequenceSource, start: int, times: int) -> int:
             raise BudgetExceededError(
                 f"composition did not stabilise within {MAX_COMPOSE_STEPS} steps"
             )
-        nxt = source.value(v)
+        nxt = source.value(v)  # inline, not _positive_value: this runs once per step
         if nxt < 1:
             raise NonPositiveTermError(
                 f"{source.name}({brief_int(v)}) = {brief_int(nxt)}; "
@@ -164,7 +176,8 @@ def pair_transform(alpha, beta, combiner, n: int, k: int = 1) -> int:
             raise ValueError(f"power-sum exponent must be >= 1, got {k}")
         return alpha.value(m1) ** k + beta.value(m2) ** k
     if combiner == "concat":
-        return concat_numbers(alpha.value(m1), beta.value(m2))
+        return concat_numbers(_positive_value(alpha, m1, "concatenation"),
+                              _positive_value(beta, m2, "concatenation"))
     if combiner == "iterate":
         return _compose(beta, alpha.value(m1), m2)
     raise ValueError(f"unknown combiner {combiner!r}, expected one of {COMBINERS}")
@@ -286,6 +299,39 @@ def superpose(alpha: SequenceSource, inner: Scheme, outer: Scheme, n: int) -> in
 
 # -- uniform prefix generation ------------------------------------------------------
 
+SEVERAL = -1  # source count of the families that read two or more sequences
+
+
+class Family(NamedTuple):
+    """One row of the family table."""
+
+    sources: int  # input sequences read: 0, 1, 2, or SEVERAL
+    needs_k: bool  # k has no default and must be given
+    omega: Callable  # omega(spec, sources, n)
+
+
+FAMILY_TABLE = {
+    "reluctant": Family(1, False, lambda s, src, n: reluctant(src[0], n)),
+    "reverse-reluctant": Family(1, False, lambda s, src, n: reverse_reluctant(src[0], n)),
+    "double-reluctant": Family(1, False, lambda s, src, n: double_reluctant(src[0], n)),
+    "self-compose": Family(1, False, lambda s, src, n: self_compose(src[0], n, s.convention)),
+    "shifted-columns": Family(1, True, lambda s, src, n: shifted_columns(src[0], s.k, n)),
+    "max-shift": Family(1, True, lambda s, src, n: max_shift(src[0], s.k, n)),
+    "segment-shift": Family(1, True, lambda s, src, n: segment_shift(src[0], s.k, n)),
+    "shifted-columns-angle": Family(
+        1, True, lambda s, src, n: shifted_columns_angle(src[0], s.k, n)),
+    "max-shift-angle": Family(1, True, lambda s, src, n: max_shift_angle(src[0], s.k, n)),
+    "segment-shift-angle": Family(1, True, lambda s, src, n: segment_shift_angle(src[0], s.k, n)),
+    "pair": Family(2, False, lambda s, src, n: pair_transform(src[0], src[1], s.combiner, n, s.k)),
+    "eta": Family(0, False, lambda s, src, n: eta(s.d, n)),
+    "multi-replicate": Family(SEVERAL, False, lambda s, src, n: multi_replicate(src, n)),
+    "braid": Family(SEVERAL, False, lambda s, src, n: braid(src, n)),
+    "segment-braid": Family(SEVERAL, False, lambda s, src, n: segment_braid(src, n)),
+    "superpose": Family(1, False, lambda s, src, n: superpose(src[0], s.inner, s.outer, n)),
+}
+FAMILIES = tuple(FAMILY_TABLE)
+
+
 @dataclass(frozen=True)
 class TransformSpec:
     """Names one transformation family and its parameters."""
@@ -298,6 +344,12 @@ class TransformSpec:
     inner: Scheme | None = None
     outer: Scheme | None = None
 
+    def __post_init__(self):
+        if self.family not in FAMILY_TABLE:
+            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        if self.family == "superpose" and (self.inner is None or self.outer is None):
+            raise ValueError("family superpose needs both an inner and an outer scheme")
+
 
 def _as_sources(sources) -> list[SequenceSource]:
     if sources is None:
@@ -307,67 +359,20 @@ def _as_sources(sources) -> list[SequenceSource]:
     return list(sources)
 
 
-FAMILIES = (
-    "reluctant",
-    "reverse-reluctant",
-    "double-reluctant",
-    "self-compose",
-    "shifted-columns",
-    "max-shift",
-    "segment-shift",
-    "shifted-columns-angle",
-    "max-shift-angle",
-    "segment-shift-angle",
-    "pair",
-    "eta",
-    "multi-replicate",
-    "braid",
-    "segment-braid",
-    "superpose",
-)
-
-
 def term(spec: TransformSpec, sources, n: int) -> int:
     """omega(n) for the configured family."""
-    src = _as_sources(sources)
-    f = spec.family
-    if f == "reluctant":
-        return reluctant(src[0], n)
-    if f == "reverse-reluctant":
-        return reverse_reluctant(src[0], n)
-    if f == "double-reluctant":
-        return double_reluctant(src[0], n)
-    if f == "self-compose":
-        return self_compose(src[0], n, spec.convention)
-    if f == "shifted-columns":
-        return shifted_columns(src[0], spec.k, n)
-    if f == "max-shift":
-        return max_shift(src[0], spec.k, n)
-    if f == "segment-shift":
-        return segment_shift(src[0], spec.k, n)
-    if f == "shifted-columns-angle":
-        return shifted_columns_angle(src[0], spec.k, n)
-    if f == "max-shift-angle":
-        return max_shift_angle(src[0], spec.k, n)
-    if f == "segment-shift-angle":
-        return segment_shift_angle(src[0], spec.k, n)
-    if f == "pair":
-        return pair_transform(src[0], src[1], spec.combiner, n, k=max(spec.k, 1))
-    if f == "eta":
-        return eta(spec.d, n)
-    if f == "multi-replicate":
-        return multi_replicate(src, n)
-    if f == "braid":
-        return braid(src, n)
-    if f == "segment-braid":
-        return segment_braid(src, n)
-    if f == "superpose":
-        return superpose(src[0], spec.inner, spec.outer, n)
-    raise ValueError(f"unknown family {f!r}, expected one of {FAMILIES}")
+    # callers looping over positions pass the same list each time; skip the copy
+    src = sources if type(sources) is list else _as_sources(sources)
+    wanted, _, omega = FAMILY_TABLE[spec.family]
+    if len(src) != wanted and (wanted != SEVERAL or len(src) < 2):
+        need = "at least 2" if wanted == SEVERAL else wanted
+        raise ValueError(f"family {spec.family} reads {need} input sequences, got {len(src)}")
+    return omega(spec, src, n)
 
 
 def generate_prefix(spec: TransformSpec, sources, count: int) -> list[int]:
     """[omega(1), ..., omega(count)] for the configured family."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return [term(spec, sources, n) for n in range(1, count + 1)]
+    src = _as_sources(sources)
+    return [term(spec, src, n) for n in range(1, count + 1)]

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from gridseq import cli, oeis
+from gridseq import cli, oeis, transforms
 from gridseq.oracle import VerificationReport
-from gridseq.schemes import Scheme
+from gridseq.schemes import Scheme, parse_scheme
+from gridseq.sources import parse_source
+from gridseq.transforms import FAMILIES, FAMILY_TABLE, SEVERAL, TransformSpec, generate_prefix
 
 
 def run(capsys, *argv):
@@ -63,6 +65,56 @@ def test_generate_families(capsys):
     assert code == 0 and out.split() == ["1", "2", "4", "5", "3", "13"]
 
 
+# source count -> (CLI flags, the same sources as specs)
+SOURCES = {
+    0: ([], []),
+    1: (["--alpha", "primes"], ["primes"]),
+    2: (["--alpha", "primes", "--beta", "phi"], ["primes", "phi"]),
+    SEVERAL: (["--sources", "id", "primes", "phi"], ["id", "primes", "phi"]),
+}
+
+
+def direct_term(spec, sources, n):
+    """omega(n) from the function named after the family, not through the family table."""
+    family = spec.family
+    fn = getattr(transforms, "pair_transform" if family == "pair" else family.replace("-", "_"))
+    rule = FAMILY_TABLE[family]
+    if family == "pair":
+        return fn(*sources, spec.combiner, n, spec.k)
+    if family == "eta":
+        return fn(spec.d, n)
+    if family == "self-compose":
+        return fn(sources[0], n, spec.convention)
+    if family == "superpose":
+        return fn(sources[0], spec.inner, spec.outer, n)
+    if rule.sources == SEVERAL:
+        return fn(sources, n)
+    return fn(sources[0], spec.k, n) if rule.needs_k else fn(sources[0], n)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_through_cli(capsys, family):
+    rule = FAMILY_TABLE[family]
+    flags, texts = SOURCES[rule.sources]
+    argv = ["generate", "--family", family, "--d", "3", *flags, "--count", "10"]
+    k = 1
+    if rule.needs_k:
+        assert run_usage_error(capsys, *argv) == 2  # --k has no default here
+        k = 2
+        argv += ["--k", "2"]
+    inner = outer = None
+    if family == "superpose":
+        inner, outer = parse_scheme("tiling:const:3x2:row"), parse_scheme("center-out")
+        argv += ["--inner", "tiling:const:3x2:row", "--outer", "center-out"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    spec = TransformSpec(family, k=k, d=3, inner=inner, outer=outer)
+    sources = [parse_source(text) for text in texts]
+    expected = generate_prefix(spec, sources, 10)
+    assert out.split() == [str(v) for v in expected]
+    assert expected == [direct_term(spec, sources, n) for n in range(1, 11)]
+
+
 def test_generate_json(capsys):
     code, out, _ = run(capsys, "generate", "--family", "pair", "--alpha", "geo:10",
                        "--beta", "geo:10", "--combiner", "power-sum", "--k", "7",
@@ -87,6 +139,11 @@ def test_generate_budget_exit3(capsys):
                        "--count", "16")
     assert code == 3
     assert "n=16" in err
+    # concatenation needs positive terms, and says where it met the first one
+    code, out, err = run(capsys, "generate", "--family", "pair", "--combiner", "concat",
+                         "--alpha", "list:0,1,2", "--count", "3")
+    assert (code, out) == (3, "")
+    assert "n=1" in err
 
 
 def test_verify(capsys):
@@ -150,6 +207,10 @@ def test_usage_errors_exit2(capsys):
     assert run_usage_error(capsys, "generate", "--family", "warp", "--count", "3") == 2
     assert run_usage_error(capsys, "generate", "--family", "braid", "--sources", "id", "--count", "3") == 2
     assert run_usage_error(capsys, "generate", "--family", "superpose", "--count", "3") == 2
+    # a power-sum exponent below 1 is refused, not clamped to 1
+    for k in ("0", "-4"):
+        assert run_usage_error(capsys, "generate", "--family", "pair", "--combiner", "power-sum",
+                               "--k", k, "--count", "3") == 2
     assert run_usage_error(capsys, "verify", "--scheme", "tiling", "--spec", "const:0x2", "--n-max", "5") == 2
     assert run_usage_error(capsys, "oeis-check", "--family", "reluctant", "--anum", "bogus") == 2
     assert run_usage_error(capsys) == 2

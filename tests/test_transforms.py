@@ -348,3 +348,17 @@ def test_generate_prefix_errors():
 
     with pytest.raises(SourceExhaustedError):
         generate_prefix(TransformSpec("reluctant"), from_list([1]), 3)
+    # power-sum has no default exponent in the library: k = 0 is refused, not clamped
+    with pytest.raises(ValueError, match="exponent"):
+        generate_prefix(TransformSpec("pair", combiner="power-sum"), [IDENT, IDENT], 3)
+    # the wrong number of sources names the family
+    for family, sources in (("pair", IDENT), ("reluctant", [IDENT, IDENT]),
+                            ("eta", IDENT), ("braid", [IDENT])):
+        with pytest.raises(ValueError, match=f"family {family} "):
+            generate_prefix(TransformSpec(family), sources, 3)
+        with pytest.raises(ValueError, match=f"family {family} "):
+            tr.term(TransformSpec(family), sources, 1)
+    with pytest.raises(ValueError, match="superpose"):
+        TransformSpec("superpose", outer=Scheme("cantor"))
+    with pytest.raises(ValueError, match="superpose"):
+        TransformSpec("superpose")
