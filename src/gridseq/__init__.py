@@ -28,7 +28,7 @@ from .pairing import (
     oxplow_decode,
     oxplow_encode,
 )
-from .schemes import Scheme, decode, encode, parse_scheme, tiling_scheme
+from .schemes import Scheme, decode, encode, parse_scheme, tiling_scheme, walk
 from .sources import (
     BudgetExceededError,
     NonPositiveTermError,
@@ -65,6 +65,7 @@ from .transforms import (
     double_reluctant,
     eta,
     generate_prefix,
+    iter_terms,
     max_shift,
     multi_replicate,
     pair_indices,
@@ -76,6 +77,7 @@ from .transforms import (
     self_compose,
     shifted_columns,
     superpose,
+    term,
 )
 
 __version__ = "0.1.0"

@@ -11,12 +11,13 @@ reference data, 5 network failure in online mode.
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import oeis, oracle, schemes, transforms
 from .schemes import SIMPLE_KINDS, Scheme, parse_scheme, tiling_scheme
 from .sources import SourceError, parse_source
 from .tiling import ORDERS, SpecExhaustedError
-from .transforms import FAMILIES, FAMILY_TABLE, SEVERAL, TransformSpec
+from .transforms import CONVENTIONS, FAMILIES, FAMILY_TABLE, SEVERAL, TransformSpec
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -24,6 +25,14 @@ EXIT_USAGE = 2
 EXIT_SOURCE = 3
 EXIT_INSUFFICIENT = 4
 EXIT_NETWORK = 5
+
+OUTPUT_CHUNK = 4096  # terms joined into one write by generate
+
+# the input-sequence flags a family reads, by its source count
+_SOURCE_FLAGS = {0: (), 1: ("alpha",), 2: ("alpha", "beta"), SEVERAL: ("sources",)}
+# the optional flags of generate and oeis-check that configure a family
+_FAMILY_OPTIONS = ("alpha", "beta", "sources", "k", "d", "combiner", "convention", "inner", "outer")
+
 
 def _add_scheme_flags(sub):
     sub.add_argument("--scheme", required=True, help="scheme name, e.g. cantor, angle, tiling")
@@ -62,20 +71,24 @@ def _source(parser, flag, text):
 
 def _transform_from_args(parser, args) -> tuple[TransformSpec, list]:
     family = FAMILY_TABLE[args.family]
+    reads = family.reads + _SOURCE_FLAGS[family.sources]
+    for flag in _FAMILY_OPTIONS:
+        if getattr(args, flag) is not None and flag not in reads:
+            parser.error(f"--{flag} is not read by family {args.family}")
     if family.needs_k and args.k is None:
         parser.error(f"--k is required for family {args.family}")
     spec = TransformSpec(
         family=args.family,
         k=1 if args.k is None else args.k,
-        d=args.d,
-        combiner=args.combiner,
-        convention=args.convention,
+        d=2 if args.d is None else args.d,
+        combiner=args.combiner or "product",
+        convention=args.convention or "linear",
         inner=_parse_schemeish(parser, "--inner", args.inner) if args.inner else None,
         outer=_parse_schemeish(parser, "--outer", args.outer) if args.outer else None,
     )
     if family.sources == SEVERAL:
         return spec, [_source(parser, "--sources", s) for s in args.sources or ()]
-    flags = (("--alpha", args.alpha), ("--beta", args.beta or "id"))[:family.sources]
+    flags = (("--alpha", args.alpha or "id"), ("--beta", args.beta or "id"))[:family.sources]
     return spec, [_source(parser, flag, text) for flag, text in flags]
 
 
@@ -84,14 +97,15 @@ def _family_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--family", required=True, choices=FAMILIES, metavar="FAMILY",
                    help=f"one of: {', '.join(FAMILIES)}")
-    p.add_argument("--alpha", default="id", help="first input sequence (default id)")
-    p.add_argument("--beta", help="second input sequence, for --family pair")
+    p.add_argument("--alpha", help="first input sequence (default id)")
+    p.add_argument("--beta", help="second input sequence, for --family pair (default id)")
     p.add_argument("--sources", nargs="+", help="input sequences, for the several-sequence families")
     p.add_argument("--k", type=int, help="shift parameter / power-sum exponent")
-    p.add_argument("--d", type=int, default=2, help="tuple depth for --family eta")
-    p.add_argument("--combiner", default="product", help="pair combiner: product, power-sum, concat, iterate")
-    p.add_argument("--convention", default="linear", choices=("linear", "doubling"),
-                   help="self-composition reading")
+    p.add_argument("--d", type=int, help="tuple depth for --family eta (default 2)")
+    p.add_argument("--combiner",
+                   help="pair combiner: product (default), power-sum, concat, iterate")
+    p.add_argument("--convention", choices=CONVENTIONS,
+                   help="self-composition reading (default linear)")
     p.add_argument("--inner", help="inner scheme for --family superpose, e.g. tiling:const:3x2:row")
     p.add_argument("--outer", help="outer scheme for --family superpose, e.g. center-out")
     return p
@@ -160,12 +174,12 @@ def _generate_terms(parser, args) -> list[int] | int:
     spec, srcs = _transform_from_args(parser, args)
     _positive(parser, "--count", args.count)
     terms = []
-    for n in range(1, args.count + 1):
-        try:
-            terms.append(transforms.term(spec, srcs, n))
-        except (SourceError, SpecExhaustedError) as exc:
-            print(f"error at n={n}: {exc}", file=sys.stderr)
-            return EXIT_SOURCE
+    try:
+        # extend keeps the terms made before a failure: they number n - 1
+        terms.extend(islice(transforms.iter_terms(spec, srcs), args.count))
+    except (SourceError, SpecExhaustedError) as exc:
+        print(f"error at n={len(terms) + 1}: {exc}", file=sys.stderr)
+        return EXIT_SOURCE
     return terms
 
 
@@ -175,9 +189,10 @@ def cmd_generate(parser, args) -> int:
         return terms
     if args.format == "json":
         print(json.dumps([str(v) for v in terms]))
-    else:
-        for v in terms:
-            print(v)
+        return EXIT_OK
+    write = sys.stdout.write
+    for start in range(0, len(terms), OUTPUT_CHUNK):
+        write("\n".join(map(str, terms[start:start + OUTPUT_CHUNK])) + "\n")
     return EXIT_OK
 
 

@@ -8,8 +8,6 @@ client is opt-in: nothing touches the network unless asked to.
 """
 
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -245,6 +243,11 @@ def fetch_bfile(anum, *, offline=True, opener=None) -> str:
 
 
 def _urllib_opener(url: str) -> bytes:
+    # imported here, not at load time: urllib.request alone costs more to
+    # import than the rest of the package, and only online mode needs it
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=30) as response:
             return response.read()

@@ -52,10 +52,15 @@ def cantor_encode(i: int, j: int) -> int:
     return (i + j - 1) * (i + j - 2) // 2 + i
 
 
+def cantor_cell(t: int, p: int) -> Cell:
+    """The p-th cell of diagonal t in the anti-diagonal order: row p."""
+    return p, t + 2 - p
+
+
 def cantor_decode(n: int) -> Cell:
     """Inverse of cantor_encode: i = n - t(t+1)/2, j = (t^2+3t+4)/2 - n."""
     t = diagonal_index(n)
-    return n - triangle(t), (t * t + 3 * t + 4) // 2 - n
+    return cantor_cell(t, n - triangle(t))
 
 
 def cantor_z(x: int, y: int) -> int:
@@ -65,18 +70,23 @@ def cantor_z(x: int, y: int) -> int:
     return ((x + y) ** 2 + 3 * x + y) // 2
 
 
+def cantor_z_cell(t: int, p: int) -> tuple[int, int]:
+    """The p-th pair of diagonal t in the zero-based order: (p - 1, t + 1 - p)."""
+    return p - 1, t + 1 - p
+
+
 def cantor_z_decode(z: int) -> tuple[int, int]:
-    """Inverse of cantor_z."""
+    """Inverse of cantor_z: position z is the 1-based position z + 1, shifted down."""
     if z < 0:
         raise ValueError(f"zero-based position must be >= 0, got {z}")
-    s = (isqrt(8 * z + 1) - 1) // 2
-    x = z - s * (s + 1) // 2
-    return x, s - x
+    t = diagonal_index(z + 1)
+    return cantor_z_cell(t, z + 1 - triangle(t))
 
 
 # -- permuted diagonal enumerations ------------------------------------------
 # Position n is the p-th cell of the diagonal i + j = t + 2; each decoder
-# inverts its scheme's permutation of that diagonal to the row i = r.
+# finds t and p, then its scheme's cell formula inverts the permutation of
+# that diagonal to the row i = r.  ``schemes.walk`` steps the same formulas.
 
 def boustrophedon_encode(i: int, j: int) -> int:
     """Diagonal order with neighbouring diagonals traversed in opposite directions."""
@@ -85,12 +95,16 @@ def boustrophedon_encode(i: int, j: int) -> int:
     return ((i + j - 1) * (i + j - 2) - (sign - 1) * i + (sign + 1) * j) // 2
 
 
-def boustrophedon_decode(n: int) -> Cell:
-    """Inverse of boustrophedon_encode: even t runs bottom-left to top-right."""
-    t = diagonal_index(n)
-    p = n - triangle(t)
+def boustrophedon_cell(t: int, p: int) -> Cell:
+    """The p-th cell of diagonal t: even t runs bottom-left to top-right."""
     r = p if t % 2 else t + 2 - p
     return r, t + 2 - r
+
+
+def boustrophedon_decode(n: int) -> Cell:
+    """Inverse of boustrophedon_encode."""
+    t = diagonal_index(n)
+    return boustrophedon_cell(t, n - triangle(t))
 
 
 def center_out_encode(i: int, j: int) -> int:
@@ -102,12 +116,16 @@ def center_out_encode(i: int, j: int) -> int:
     return n
 
 
-def center_out_decode(n: int) -> Cell:
-    """Inverse of center_out_encode: p // 2 steps from the centre, side set by p + t."""
-    t = diagonal_index(n)
-    p = n - triangle(t)
+def center_out_cell(t: int, p: int) -> Cell:
+    """The p-th cell of diagonal t: p // 2 steps from the centre, side set by p + t."""
     r = t // 2 + 1 + (p // 2 if (p + t) % 2 else -(p // 2))
     return r, t + 2 - r
+
+
+def center_out_decode(n: int) -> Cell:
+    """Inverse of center_out_encode."""
+    t = diagonal_index(n)
+    return center_out_cell(t, n - triangle(t))
 
 
 def edges_in_encode(i: int, j: int) -> int:
@@ -118,12 +136,16 @@ def edges_in_encode(i: int, j: int) -> int:
     return j * (2 * j - 1) + (i - j) * (3 * j + i - 3) // 2 + 1
 
 
-def edges_in_decode(n: int) -> Cell:
-    """Inverse of edges_in_encode: odd p walk down from the top edge, even p up from the bottom."""
-    t = diagonal_index(n)
-    p = n - triangle(t)
+def edges_in_cell(t: int, p: int) -> Cell:
+    """The p-th cell of diagonal t: odd p walk down from the top edge, even p up from the bottom."""
     r = (p + 1) // 2 if p % 2 else t + 2 - p // 2
     return r, t + 2 - r
+
+
+def edges_in_decode(n: int) -> Cell:
+    """Inverse of edges_in_encode."""
+    t = diagonal_index(n)
+    return edges_in_cell(t, n - triangle(t))
 
 
 def alternating_encode(i: int, j: int) -> int:
@@ -133,15 +155,20 @@ def alternating_encode(i: int, j: int) -> int:
     return ((i + j - 1) * (i + j - 2) + (sign + 1) * i - (sign - 1) * j) // 2
 
 
-def alternating_decode(n: int) -> Cell:
-    """Inverse of alternating_encode: the offset p is i when max(i, j) is even, else j."""
-    t = diagonal_index(n)
-    p = n - triangle(t)
+def alternating_cell(t: int, p: int) -> Cell:
+    """The p-th cell of diagonal t: the offset p is i when max(i, j) is even, else j."""
     r = p if max(p, t + 2 - p) % 2 == 0 else t + 2 - p
     return r, t + 2 - r
 
 
+def alternating_decode(n: int) -> Cell:
+    """Inverse of alternating_encode."""
+    t = diagonal_index(n)
+    return alternating_cell(t, n - triangle(t))
+
+
 # -- square-shell enumerations -----------------------------------------------
+# Position n is the q-th cell, 1 <= q <= 2s - 1, of the shell max(i, j) = s.
 
 def angle_encode(i: int, j: int) -> int:
     """Position along square shells, walked from (1, s) to (s, s) to (s, 1)."""
@@ -151,10 +178,15 @@ def angle_encode(i: int, j: int) -> int:
     return (j - 1) ** 2 + i
 
 
+def angle_cell(s: int, q: int) -> Cell:
+    """The q-th cell of shell s: down the column j = s, then left along the row i = s."""
+    return (q, s) if q <= s else (s, 2 * s - q)
+
+
 def angle_decode(n: int) -> Cell:
-    """Inverse of angle_encode: i = min(t, n-(t-1)^2), j = min(t, t^2-n+1)."""
-    t = shell_index(n)
-    return min(t, n - (t - 1) ** 2), min(t, t * t - n + 1)
+    """Inverse of angle_encode: i = min(s, n-(s-1)^2), j = min(s, s^2-n+1)."""
+    s = shell_index(n)
+    return angle_cell(s, n - (s - 1) ** 2)
 
 
 def oxplow_encode(i: int, j: int) -> int:
@@ -165,11 +197,15 @@ def oxplow_encode(i: int, j: int) -> int:
     return (i - 1) ** 2 + i - (-1) ** (i - 1) * (i - j)
 
 
-def oxplow_decode(n: int) -> Cell:
-    """Inverse of oxplow_encode; swaps the two shell coordinates on odd shells."""
-    t = shell_index(n)
-    a = min(t, n - (t - 1) ** 2)
-    b = min(t, t * t - n + 1)
-    if t % 2:
+def oxplow_cell(s: int, q: int) -> Cell:
+    """The q-th cell of shell s: the angle cell, transposed on odd shells."""
+    a, b = angle_cell(s, q)
+    if s % 2:
         return b, a
     return a, b
+
+
+def oxplow_decode(n: int) -> Cell:
+    """Inverse of oxplow_encode; swaps the two shell coordinates on odd shells."""
+    s = shell_index(n)
+    return oxplow_cell(s, n - (s - 1) ** 2)

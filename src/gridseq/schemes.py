@@ -4,10 +4,14 @@ A :class:`Scheme` names one bijection between grid cells and positions:
 one of the eight enumerations, each encoded and decoded in closed form, or
 a rectangle tiling with an inner numbering order.  ``cantor0`` is the
 zero-based classic and works on pairs (x, y) >= 0; every other scheme works
-on 1-based cells.
+on 1-based cells.  :func:`walk` streams the cells in order from any
+position.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
+from itertools import count, repeat
 
 from . import pairing, tiling
 from .pairing import Cell
@@ -45,6 +49,18 @@ _DECODERS = {
     "angle": pairing.angle_decode,
     "oxplow": pairing.oxplow_decode,
 }
+
+# cell(t, p) formulas shared by the decoders and the walker: the p-th cell
+# of diagonal t, or the p-th cell of shell t
+_DIAGONAL_CELLS = {
+    "cantor": pairing.cantor_cell,
+    "cantor0": pairing.cantor_z_cell,
+    "boustrophedon": pairing.boustrophedon_cell,
+    "center-out": pairing.center_out_cell,
+    "edges-in": pairing.edges_in_cell,
+    "alternating": pairing.alternating_cell,
+}
+_SHELL_CELLS = {"angle": pairing.angle_cell, "oxplow": pairing.oxplow_cell}
 
 
 @dataclass(frozen=True)
@@ -117,3 +133,40 @@ def decode(scheme: Scheme, n: int) -> Cell:
     if scheme.kind == "tiling":
         return tiling.rect_decode(n, scheme.tiling, scheme.order)
     return _DECODERS[scheme.kind](n)
+
+
+def walk(scheme: Scheme, start: int | None = None) -> Iterator[Cell]:
+    """The scheme's cells in order, from position ``start`` on (default: the first).
+
+    The diagonal and shell kinds decode ``start`` once, then step through
+    each diagonal or shell with the decoder's own cell formula, so no cell
+    after the first costs a square root.  Tilings decode position by
+    position.  A bad ``start`` raises here, not on the first ``next``.
+    """
+    if start is None:
+        start = first_index(scheme)
+    if scheme.kind == "tiling":
+        if start < 1:
+            raise ValueError(f"position must be >= 1, got {start}")
+        return map(partial(decode, scheme), count(start))
+    if scheme.kind in _SHELL_CELLS:
+        s = pairing.shell_index(start)
+        return _shells(_SHELL_CELLS[scheme.kind], s, start - (s - 1) ** 2)
+    if scheme.kind == "cantor0":
+        if start < 0:
+            raise ValueError(f"zero-based position must be >= 0, got {start}")
+        start += 1  # the same diagonals, numbered from 1
+    t = pairing.diagonal_index(start)
+    return _diagonals(_DIAGONAL_CELLS[scheme.kind], t, start - pairing.triangle(t))
+
+
+def _diagonals(cell, t: int, p: int) -> Iterator[Cell]:
+    while True:  # diagonal t holds t + 1 cells
+        yield from map(cell, repeat(t), range(p, t + 2))
+        t, p = t + 1, 1
+
+
+def _shells(cell, s: int, q: int) -> Iterator[Cell]:
+    while True:  # shell s holds 2s - 1 cells
+        yield from map(cell, repeat(s), range(q, 2 * s))
+        s, q = s + 1, 1

@@ -1,20 +1,30 @@
 """Sequence transformations built on the grid enumerations.
 
 Each family fills the infinite array from one, two, or l input sequences
-and reads it back as a single sequence omega.  For every family the
-position-to-source-index map has a closed form (the ``*_index`` functions
-here); the value operations just look the index up in the source.  Index
-arithmetic is exact throughout.
+by an array rule, and reads the array back as a single sequence omega
+along an enumeration, its reader: the anti-diagonals (``cantor``) for
+most families, the square shells (``angle``) for the three ``-angle``
+families, and the outer scheme for ``superpose``.  A row of
+:data:`FAMILY_TABLE` holds the rule and the reader.  :func:`iter_terms`
+applies the rule along :func:`schemes.walk`, which decodes its first
+position and then steps from cell to cell; :func:`term` applies it to one
+decoded cell.
+
+The ``*_index`` functions and the functions named after the families are
+the paper's closed forms, position straight to source index.  They stay
+as the explicit formulas, and the tests check the rules against them.
+Index arithmetic is exact throughout.
 """
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice, starmap
 from math import isqrt
 from typing import NamedTuple
 
 from . import schemes as _schemes
-from .pairing import cantor_decode, diagonal_index, half_round_sqrt, triangle
+from .pairing import cantor_decode, cantor_encode, diagonal_index, half_round_sqrt, triangle
 from .schemes import Scheme
 from .sources import (
     BudgetExceededError,
@@ -126,6 +136,16 @@ def _compose(source: SequenceSource, start: int, times: int) -> int:
     return v
 
 
+def _doubling_times(j: int) -> int:
+    """2**(j-1), capped where it already exceeds the step budget of _compose.
+
+    Past the cap _compose stops at the same fixed point or raises the same
+    budget error, so the cap changes no result; it only keeps a far-out
+    column from allocating a (j-1)-bit count.
+    """
+    return 1 << min(j - 1, MAX_COMPOSE_STEPS.bit_length())
+
+
 def self_compose(alpha: SequenceSource, n: int, convention: str = "linear") -> int:
     """Column j holds the j-fold self-composition of the source.
 
@@ -137,7 +157,7 @@ def self_compose(alpha: SequenceSource, n: int, convention: str = "linear") -> i
     if convention == "linear":
         times = j
     elif convention == "doubling":
-        times = 1 << (j - 1)
+        times = _doubling_times(j)
     else:
         raise ValueError(f"convention must be 'linear' or 'doubling', got {convention!r}")
     return _compose(alpha, i, times)
@@ -158,6 +178,30 @@ def concat_numbers(a: int, b: int) -> int:
 
 
 COMBINERS = ("product", "power-sum", "concat", "iterate")
+CONVENTIONS = ("linear", "doubling")  # the self-composition readings
+
+
+def _check_exponent(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"power-sum exponent must be >= 1, got {k}")
+
+
+def _combiner(alpha, beta, combiner, k: int) -> Callable:
+    """combine(m1, m2): alpha[m1] with beta[m2] under the named (or callable) combiner."""
+    a, b = alpha.value, beta.value
+    if callable(combiner):
+        return lambda m1, m2: combiner(a(m1), b(m2))
+    if combiner == "product":
+        return lambda m1, m2: a(m1) * b(m2)
+    if combiner == "power-sum":
+        _check_exponent(k)
+        return lambda m1, m2: a(m1) ** k + b(m2) ** k
+    if combiner == "concat":
+        return lambda m1, m2: concat_numbers(_positive_value(alpha, m1, "concatenation"),
+                                             _positive_value(beta, m2, "concatenation"))
+    if combiner == "iterate":
+        return lambda m1, m2: _compose(beta, a(m1), m2)
+    raise ValueError(f"unknown combiner {combiner!r}, expected one of {COMBINERS}")
 
 
 def pair_transform(alpha, beta, combiner, n: int, k: int = 1) -> int:
@@ -167,20 +211,7 @@ def pair_transform(alpha, beta, combiner, n: int, k: int = 1) -> int:
     starting from alpha[m1].
     """
     m1, m2 = pair_indices(n)
-    if callable(combiner):
-        return combiner(alpha.value(m1), beta.value(m2))
-    if combiner == "product":
-        return alpha.value(m1) * beta.value(m2)
-    if combiner == "power-sum":
-        if k < 1:
-            raise ValueError(f"power-sum exponent must be >= 1, got {k}")
-        return alpha.value(m1) ** k + beta.value(m2) ** k
-    if combiner == "concat":
-        return concat_numbers(_positive_value(alpha, m1, "concatenation"),
-                              _positive_value(beta, m2, "concatenation"))
-    if combiner == "iterate":
-        return _compose(beta, alpha.value(m1), m2)
-    raise ValueError(f"unknown combiner {combiner!r}, expected one of {COMBINERS}")
+    return _combiner(alpha, beta, combiner, k)(m1, m2)
 
 
 def eta(d: int, n: int) -> int:
@@ -297,58 +328,160 @@ def superpose(alpha: SequenceSource, inner: Scheme, outer: Scheme, n: int) -> in
     return alpha.value(_schemes.encode(inner, *cell))
 
 
-# -- uniform prefix generation ------------------------------------------------------
+# -- array rules ----------------------------------------------------------------------
+# rule(spec, sources) -> cell(i, j), the value the family puts at cell (i, j).
+# A rule runs once per call of iter_terms or term: TransformSpec has checked
+# the parameters and _bind the sources, and each source's value method is
+# bound here, so the cell functions check nothing per cell.
+
+def _reluctant_rule(spec, sources):
+    value = sources[0].value
+    return lambda i, j: value(i)
+
+
+def _reverse_reluctant_rule(spec, sources):
+    value = sources[0].value
+    return lambda i, j: value(j)
+
+
+def _double_reluctant_rule(spec, sources):
+    value = sources[0].value
+    return lambda i, j: value(reluctant_index(i))
+
+
+def _self_compose_rule(spec, sources):
+    alpha = sources[0]
+    if spec.convention == "linear":
+        return lambda i, j: _compose(alpha, i, j)
+    return lambda i, j: _compose(alpha, i, _doubling_times(j))
+
+
+def _shifted_rule(spec, sources):
+    value, k = sources[0].value, spec.k
+    return lambda i, j: value(i + k * (j - 1))
+
+
+def _max_shift_rule(spec, sources):
+    value, k = sources[0].value, spec.k
+    return lambda i, j: value(max(k * (i - 1) + j, i + k * (j - 1)))
+
+
+def _segment_shift_rule(spec, sources):
+    value, k = sources[0].value, spec.k
+    return lambda i, j: value(i - j + 1 if i >= j else j - i + k - 1)
+
+
+def _pair_rule(spec, sources):
+    return _combiner(sources[0], sources[1], spec.combiner, spec.k)
+
+
+def _eta_rule(spec, sources):
+    d = spec.d
+    if d == 1:
+        return cantor_encode  # eta(1, n) = n: the array is the Cantor numbering itself
+    return lambda i, j: concat_numbers(eta(d - 1, i), j)
+
+
+def _multi_replicate_rule(spec, sources):
+    values = [s.value for s in sources]
+    l = len(values)
+    return lambda i, j: values[(j - 1) % l](i)
+
+
+def _braid_rule(spec, sources):
+    values = [s.value for s in sources]
+    l = len(values)
+    return lambda i, j: values[(i + j - 2) % l](i)
+
+
+def _segment_braid_rule(spec, sources):
+    values = [s.value for s in sources]
+    l, last = len(values), values[-1]
+    return lambda i, j: values[(j - 1) % (l - 1)](i - j + 1) if i >= j else last(j - i)
+
+
+def _superpose_rule(spec, sources):
+    value, inner = sources[0].value, spec.inner
+    return lambda i, j: value(_schemes.encode(inner, i, j))
+
+
+# -- the family table and generation ------------------------------------------------------
 
 SEVERAL = -1  # source count of the families that read two or more sequences
+ANGLE = Scheme("angle")
 
 
 class Family(NamedTuple):
-    """One row of the family table."""
+    """One row of the family table: an array rule and the order that reads it."""
 
     sources: int  # input sequences read: 0, 1, 2, or SEVERAL
-    needs_k: bool  # k has no default and must be given
-    omega: Callable  # omega(spec, sources, n)
+    reads: tuple[str, ...]  # the TransformSpec fields the rule reads
+    rule: Callable  # rule(spec, sources) -> cell(i, j)
+    reader: Scheme | None = _schemes.CANTOR  # None: the spec's outer scheme
+    k_min: int | None = None  # least shift, for the families whose k must be given
+
+    @property
+    def needs_k(self) -> bool:
+        """k has no default and must be given."""
+        return self.k_min is not None
 
 
 FAMILY_TABLE = {
-    "reluctant": Family(1, False, lambda s, src, n: reluctant(src[0], n)),
-    "reverse-reluctant": Family(1, False, lambda s, src, n: reverse_reluctant(src[0], n)),
-    "double-reluctant": Family(1, False, lambda s, src, n: double_reluctant(src[0], n)),
-    "self-compose": Family(1, False, lambda s, src, n: self_compose(src[0], n, s.convention)),
-    "shifted-columns": Family(1, True, lambda s, src, n: shifted_columns(src[0], s.k, n)),
-    "max-shift": Family(1, True, lambda s, src, n: max_shift(src[0], s.k, n)),
-    "segment-shift": Family(1, True, lambda s, src, n: segment_shift(src[0], s.k, n)),
-    "shifted-columns-angle": Family(
-        1, True, lambda s, src, n: shifted_columns_angle(src[0], s.k, n)),
-    "max-shift-angle": Family(1, True, lambda s, src, n: max_shift_angle(src[0], s.k, n)),
-    "segment-shift-angle": Family(1, True, lambda s, src, n: segment_shift_angle(src[0], s.k, n)),
-    "pair": Family(2, False, lambda s, src, n: pair_transform(src[0], src[1], s.combiner, n, s.k)),
-    "eta": Family(0, False, lambda s, src, n: eta(s.d, n)),
-    "multi-replicate": Family(SEVERAL, False, lambda s, src, n: multi_replicate(src, n)),
-    "braid": Family(SEVERAL, False, lambda s, src, n: braid(src, n)),
-    "segment-braid": Family(SEVERAL, False, lambda s, src, n: segment_braid(src, n)),
-    "superpose": Family(1, False, lambda s, src, n: superpose(src[0], s.inner, s.outer, n)),
+    "reluctant": Family(1, (), _reluctant_rule),
+    "reverse-reluctant": Family(1, (), _reverse_reluctant_rule),
+    "double-reluctant": Family(1, (), _double_reluctant_rule),
+    "self-compose": Family(1, ("convention",), _self_compose_rule),
+    "shifted-columns": Family(1, ("k",), _shifted_rule, k_min=0),
+    "max-shift": Family(1, ("k",), _max_shift_rule, k_min=1),
+    "segment-shift": Family(1, ("k",), _segment_shift_rule, k_min=1),
+    "shifted-columns-angle": Family(1, ("k",), _shifted_rule, ANGLE, k_min=0),
+    "max-shift-angle": Family(1, ("k",), _max_shift_rule, ANGLE, k_min=1),
+    "segment-shift-angle": Family(1, ("k",), _segment_shift_rule, ANGLE, k_min=1),
+    "pair": Family(2, ("combiner", "k"), _pair_rule),
+    "eta": Family(0, ("d",), _eta_rule),
+    "multi-replicate": Family(SEVERAL, (), _multi_replicate_rule),
+    "braid": Family(SEVERAL, (), _braid_rule),
+    "segment-braid": Family(SEVERAL, (), _segment_braid_rule),
+    "superpose": Family(1, ("inner", "outer"), _superpose_rule, reader=None),
 }
 FAMILIES = tuple(FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Names one transformation family and its parameters."""
+    """Names one transformation family and its parameters.
+
+    Every parameter is checked here, once, whichever family reads it.
+    """
 
     family: str
     k: int = 0
     d: int = 1
-    combiner: str = "product"
+    combiner: str | Callable = "product"
     convention: str = "linear"
     inner: Scheme | None = None
     outer: Scheme | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILY_TABLE:
+        row = FAMILY_TABLE.get(self.family)
+        if row is None:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.family == "superpose" and (self.inner is None or self.outer is None):
-            raise ValueError("family superpose needs both an inner and an outer scheme")
+        if not (callable(self.combiner) or self.combiner in COMBINERS):
+            raise ValueError(f"unknown combiner {self.combiner!r}, expected one of {COMBINERS}")
+        if self.convention not in CONVENTIONS:
+            raise ValueError(
+                f"convention must be 'linear' or 'doubling', got {self.convention!r}")
+        if self.d < 1:
+            raise ValueError(f"tuple depth must be >= 1, got {self.d}")
+        if row.k_min is not None and self.k < row.k_min:
+            raise ValueError(f"family {self.family}: shift must be >= {row.k_min}, got {self.k}")
+        if self.family == "pair" and self.combiner == "power-sum":
+            _check_exponent(self.k)
+        if self.family == "superpose":
+            if self.inner is None or self.outer is None:
+                raise ValueError("family superpose needs both an inner and an outer scheme")
+            if "cantor0" in (self.inner.kind, self.outer.kind):
+                raise ValueError("superposition needs 1-based schemes")
 
 
 def _as_sources(sources) -> list[SequenceSource]:
@@ -359,20 +492,34 @@ def _as_sources(sources) -> list[SequenceSource]:
     return list(sources)
 
 
-def term(spec: TransformSpec, sources, n: int) -> int:
-    """omega(n) for the configured family."""
-    # callers looping over positions pass the same list each time; skip the copy
-    src = sources if type(sources) is list else _as_sources(sources)
-    wanted, _, omega = FAMILY_TABLE[spec.family]
-    if len(src) != wanted and (wanted != SEVERAL or len(src) < 2):
-        need = "at least 2" if wanted == SEVERAL else wanted
+def _bind(spec: TransformSpec, sources) -> tuple[Callable, Scheme]:
+    """(cell function, reader) of the spec's family over these sources."""
+    src = _as_sources(sources)
+    row = FAMILY_TABLE[spec.family]
+    if len(src) != row.sources and (row.sources != SEVERAL or len(src) < 2):
+        need = "at least 2" if row.sources == SEVERAL else row.sources
         raise ValueError(f"family {spec.family} reads {need} input sequences, got {len(src)}")
-    return omega(spec, src, n)
+    return row.rule(spec, src), row.reader or spec.outer
+
+
+def term(spec: TransformSpec, sources, n: int) -> int:
+    """omega(n) for the configured family: its array rule at the reader's n-th cell."""
+    cell, reader = _bind(spec, sources)
+    return cell(*_schemes.decode(reader, n))
+
+
+def iter_terms(spec: TransformSpec, sources, start: int = 1) -> Iterator[int]:
+    """omega(start), omega(start + 1), ...: the array rule along the reader's walk.
+
+    The spec, the sources and ``start`` are checked when this is called; the
+    terms are computed as they are read.
+    """
+    cell, reader = _bind(spec, sources)
+    return starmap(cell, _schemes.walk(reader, start))
 
 
 def generate_prefix(spec: TransformSpec, sources, count: int) -> list[int]:
     """[omega(1), ..., omega(count)] for the configured family."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    src = _as_sources(sources)
-    return [term(spec, src, n) for n in range(1, count + 1)]
+    return list(islice(iter_terms(spec, sources), count))

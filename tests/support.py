@@ -9,7 +9,7 @@ loop-based integer square root used to stress the exactness of the
 ``math.isqrt``-based index arithmetic.
 """
 
-from gridseq import tiling_scheme
+from gridseq import tiling_scheme, transforms
 from gridseq.schemes import Scheme
 
 
@@ -108,6 +108,25 @@ def s_braid(i, j, l):
 
 def s_segment_braid(i, j, l):
     return 1 + (j - 1) % (l - 1) if i >= j else l
+
+
+def direct_term(spec, sources, n):
+    """omega(n) from the closed-form function named after the family, not through the family table."""
+    family = spec.family
+    if family == "pair":
+        return transforms.pair_transform(*sources, spec.combiner, n, spec.k)
+    fn = getattr(transforms, family.replace("-", "_"))
+    if family == "eta":
+        return fn(spec.d, n)
+    if family == "self-compose":
+        return fn(sources[0], n, spec.convention)
+    if family == "superpose":
+        return fn(sources[0], spec.inner, spec.outer, n)
+    if family in ("multi-replicate", "braid", "segment-braid"):
+        return fn(sources, n)
+    if "shift" in family:
+        return fn(sources[0], spec.k, n)
+    return fn(sources[0], n)
 
 
 def newton_isqrt(n):

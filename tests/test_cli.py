@@ -1,12 +1,14 @@
 import json
+from itertools import islice
 
 import pytest
 
-from gridseq import cli, oeis, transforms
+from gridseq import cli, oeis, oracle
 from gridseq.oracle import VerificationReport
 from gridseq.schemes import Scheme, parse_scheme
 from gridseq.sources import parse_source
 from gridseq.transforms import FAMILIES, FAMILY_TABLE, SEVERAL, TransformSpec, generate_prefix
+from support import direct_term
 
 
 def run(capsys, *argv):
@@ -74,29 +76,13 @@ SOURCES = {
 }
 
 
-def direct_term(spec, sources, n):
-    """omega(n) from the function named after the family, not through the family table."""
-    family = spec.family
-    fn = getattr(transforms, "pair_transform" if family == "pair" else family.replace("-", "_"))
-    rule = FAMILY_TABLE[family]
-    if family == "pair":
-        return fn(*sources, spec.combiner, n, spec.k)
-    if family == "eta":
-        return fn(spec.d, n)
-    if family == "self-compose":
-        return fn(sources[0], n, spec.convention)
-    if family == "superpose":
-        return fn(sources[0], spec.inner, spec.outer, n)
-    if rule.sources == SEVERAL:
-        return fn(sources, n)
-    return fn(sources[0], spec.k, n) if rule.needs_k else fn(sources[0], n)
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_family_through_cli(capsys, family):
     rule = FAMILY_TABLE[family]
     flags, texts = SOURCES[rule.sources]
-    argv = ["generate", "--family", family, "--d", "3", *flags, "--count", "10"]
+    argv = ["generate", "--family", family, *flags, "--count", "10"]
+    if family == "eta":  # every other family refuses a flag it does not read
+        argv += ["--d", "3"]
     k = 1
     if rule.needs_k:
         assert run_usage_error(capsys, *argv) == 2  # --k has no default here
@@ -132,6 +118,23 @@ def test_generate_source_exhausted_exit3(capsys):
     assert code == 3
     assert out == ""
     assert "n=3" in err
+    # deep in a diagonal the failing position is still exact, and nothing is printed
+    forty = "list:" + ",".join(map(str, range(1, 41)))
+    cantor = list(islice(oracle.iter_cells(Scheme("cantor")), 2000))
+    first_bad = next(n for n, (i, j) in enumerate(cantor, 1) if i > 40)  # reluctant reads row i
+    assert first_bad == 861
+    code, out, err = run(capsys, "generate", "--family", "reluctant", "--alpha", forty,
+                         "--count", "2000")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error at n={first_bad}: ")
+    # superpose reads the inner numbering along its outer scheme's walk
+    position = {cell: n for n, cell in enumerate(cantor, 1)}
+    angle = islice(oracle.iter_cells(Scheme("angle")), 2000)
+    first_bad = next(n for n, cell in enumerate(angle, 1) if position[cell] > 40)
+    code, out, err = run(capsys, "generate", "--family", "superpose", "--alpha", forty,
+                         "--inner", "cantor", "--outer", "angle", "--count", "2000")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error at n={first_bad}: ")
 
 
 def test_generate_budget_exit3(capsys):
@@ -199,6 +202,30 @@ def test_oeis_check_network_exit5(capsys, monkeypatch):
     assert code == 5 and "no route" in err
 
 
+# the flags each family reads, stated here rather than taken from the family table
+FAMILY_READS = {
+    "reluctant": ("alpha",),
+    "reverse-reluctant": ("alpha",),
+    "double-reluctant": ("alpha",),
+    "self-compose": ("alpha", "convention"),
+    "shifted-columns": ("alpha", "k"),
+    "max-shift": ("alpha", "k"),
+    "segment-shift": ("alpha", "k"),
+    "shifted-columns-angle": ("alpha", "k"),
+    "max-shift-angle": ("alpha", "k"),
+    "segment-shift-angle": ("alpha", "k"),
+    "pair": ("alpha", "beta", "combiner", "k"),
+    "eta": ("d",),
+    "multi-replicate": ("sources",),
+    "braid": ("sources",),
+    "segment-braid": ("sources",),
+    "superpose": ("alpha", "inner", "outer"),
+}
+FLAG_VALUES = {"alpha": ["primes"], "beta": ["phi"], "sources": ["id", "phi"], "k": ["2"],
+               "d": ["3"], "combiner": ["concat"], "convention": ["doubling"],
+               "inner": ["cantor"], "outer": ["angle"]}
+
+
 def test_usage_errors_exit2(capsys):
     assert run_usage_error(capsys, "encode", "--scheme", "moore", "--i", "1", "--j", "1") == 2
     assert run_usage_error(capsys, "encode", "--scheme", "cantor", "--i", "0", "--j", "1") == 2
@@ -211,6 +238,20 @@ def test_usage_errors_exit2(capsys):
     for k in ("0", "-4"):
         assert run_usage_error(capsys, "generate", "--family", "pair", "--combiner", "power-sum",
                                "--k", k, "--count", "3") == 2
+    # a flag the family does not read is refused, not ignored
+    assert run_usage_error(capsys, "generate", "--family", "reluctant", "--sources", "primes", "phi",
+                           "--beta", "geo:3", "--combiner", "bogus", "--count", "3") == 2
+    assert run_usage_error(capsys, "generate", "--family", "pair", "--combiner", "bogus",
+                           "--count", "3") == 2
+    assert set(FAMILY_READS) == set(FAMILIES)
+    for family, reads in FAMILY_READS.items():
+        argv = ["generate", "--family", family, "--count", "3"]
+        for flag in reads:
+            argv += [f"--{flag}", *FLAG_VALUES[flag]]
+        assert run(capsys, *argv)[0] == 0, family
+        for flag, values in FLAG_VALUES.items():
+            if flag not in reads:
+                assert run_usage_error(capsys, *argv, f"--{flag}", *values) == 2, (family, flag)
     assert run_usage_error(capsys, "verify", "--scheme", "tiling", "--spec", "const:0x2", "--n-max", "5") == 2
     assert run_usage_error(capsys, "oeis-check", "--family", "reluctant", "--anum", "bogus") == 2
     assert run_usage_error(capsys) == 2

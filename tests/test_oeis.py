@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gridseq
 from gridseq import oeis, transforms as tr
 from gridseq.oeis import (
     FIXTURE_ANUMS,
@@ -177,3 +182,14 @@ def test_cache_dir_env(tmp_path, monkeypatch):
 
 def test_report_str():
     assert "insufficient" in str(ComparisonReport("A000001", "insufficient-data", 3))
+
+
+def test_cli_import_leaves_the_fetch_client_unloaded():
+    # urllib.request costs more to import than the rest of the package, and
+    # only online mode needs it; -I keeps the environment from preloading it
+    src = str(Path(gridseq.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gridseq.cli; "
+            "print('urllib.request' in sys.modules, 'urllib.error' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "False False\n"

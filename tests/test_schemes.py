@@ -1,4 +1,7 @@
+from itertools import islice
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridseq import schemes
 from gridseq.oracle import traverse
@@ -9,6 +12,7 @@ from gridseq.schemes import (
     first_index,
     parse_scheme,
     tiling_scheme,
+    walk,
 )
 
 
@@ -57,8 +61,10 @@ def test_decode_by_search_examples():
 def test_decode_matches_oracle(kind):
     scheme = Scheme(kind)
     base = first_index(scheme)
-    for n, cell in enumerate(traverse(scheme, 100_000), base):
+    cells = traverse(scheme, 100_000)
+    for n, cell in enumerate(cells, base):
         assert decode(scheme, n) == cell, n
+    assert list(islice(walk(scheme), 100_000)) == cells
 
 
 def test_decode_matches_oracle_on_tiling():
@@ -67,8 +73,43 @@ def test_decode_matches_oracle_on_tiling():
     for text in ("const:2x2", "const:3x2", "ramp:1+1x1+1", lists):
         for order in ("row", "col", "parity-diag", "parity-tile"):
             scheme = tiling_scheme(text, order)
-            for n, cell in enumerate(traverse(scheme, 2_000), 1):
+            cells = traverse(scheme, 2_000)
+            for n, cell in enumerate(cells, 1):
                 assert decode(scheme, n) == cell, (scheme, n)
+            assert list(islice(walk(scheme), 2_000)) == cells, scheme
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SIMPLE_KINDS), st.integers(0, 10**30), st.integers(1, 200))
+def test_walk_from_any_start_matches_decode(kind, start, length):
+    # the walk decodes its start once and then steps: across diagonal and
+    # shell ends the steps must land where decoding each position lands
+    scheme = Scheme(kind)
+    start = max(start, first_index(scheme))
+    expected = [decode(scheme, n) for n in range(start, start + length)]
+    assert list(islice(walk(scheme, start), length)) == expected
+
+
+def test_walk_across_block_ends_far_out():
+    # random starts far out stay inside one diagonal or shell; these start
+    # just before the last cell of diagonal m - 1 and of shell m, and cross
+    for kind in SIMPLE_KINDS:
+        scheme = Scheme(kind)
+        for m in (10**6, 10**30):
+            for end in (m * (m + 1) // 2, m * m):
+                start = end - 2
+                expected = [decode(scheme, n) for n in range(start, start + 5)]
+                assert list(islice(walk(scheme, start), 5)) == expected, (kind, start)
+
+
+def test_walk_validation():
+    # a bad start is refused when the walk is made, not when it is first read
+    for scheme, start in ((Scheme("cantor"), 0), (Scheme("angle"), -1), (Scheme("cantor0"), -1),
+                          (tiling_scheme("const:2x2"), 0)):
+        with pytest.raises(ValueError):
+            walk(scheme, start)
+    assert next(walk(Scheme("cantor0"))) == (0, 0)
+    assert next(walk(Scheme("oxplow"), 5)) == decode(Scheme("oxplow"), 5)
 
 
 def test_decode_validation():

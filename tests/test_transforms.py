@@ -1,4 +1,7 @@
+from itertools import islice
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridseq import pairing, transforms as tr
 from gridseq.schemes import Scheme, parse_scheme, tiling_scheme
@@ -13,7 +16,7 @@ from gridseq.sources import (
     power_base,
     primes,
 )
-from gridseq.transforms import TransformSpec, generate_prefix
+from gridseq.transforms import FAMILIES, TransformSpec, generate_prefix, iter_terms
 from support import (
     BRAID_L3,
     DOUBLE_RELUCTANT_INDICES,
@@ -25,6 +28,7 @@ from support import (
     REVERSE_RELUCTANT_INDICES,
     SEGMENT_BRAID_L3,
     SUPERPOSE_FIRST6,
+    direct_term,
     f_max,
     f_segment,
     f_shifted,
@@ -101,6 +105,15 @@ def test_self_compose_power_tower():
     assert tr.self_compose(two, pairing.cantor_encode(1, 5)) == 2**65536
     with pytest.raises(BudgetExceededError):
         tr.self_compose(two, pairing.cantor_encode(1, 6))
+
+
+def test_self_compose_doubling_far_out_column():
+    # column j asks for 2**(j-1) steps; far past the step budget the count is
+    # capped rather than built as a (j-1)-bit integer
+    n = pairing.cantor_encode(5, 10**12)
+    assert tr.self_compose(custom(lambda m: (m + 1) // 2), n, "doubling") == 1
+    with pytest.raises(BudgetExceededError):
+        tr.self_compose(custom(lambda m: m + 1), n, "doubling")
 
 
 def test_self_compose_rejects_non_positive():
@@ -362,3 +375,148 @@ def test_generate_prefix_errors():
         TransformSpec("superpose", outer=Scheme("cantor"))
     with pytest.raises(ValueError, match="superpose"):
         TransformSpec("superpose")
+
+
+# -- array rules read in order against the closed forms ---------------------------------------
+
+HALF = custom(lambda m: (m + 1) // 2, "half")  # reaches its fixed point 1 in log2(m) steps
+
+
+def rule_cases():
+    """(spec, sources) per family and parameter; the sources tell the sequences apart."""
+    two, three = tagged_family(2), tagged_family(3)
+    spec = TransformSpec
+    cases = [
+        (spec("reluctant"), [IDENT]),
+        (spec("reverse-reluctant"), [IDENT]),
+        (spec("double-reluctant"), [IDENT]),
+        (spec("self-compose"), [HALF]),
+        (spec("self-compose", convention="doubling"), [HALF]),
+        (spec("pair"), two),
+        (spec("pair", combiner="power-sum", k=2), two),
+        (spec("pair", combiner="concat"), two),
+        (spec("pair", combiner="iterate"), [IDENT, HALF]),
+        (spec("pair", combiner=lambda a, b: a - 3 * b), two),
+        (spec("eta", d=1), []),
+        (spec("eta", d=2), []),
+        (spec("eta", d=4), []),
+        (spec("multi-replicate"), three),
+        (spec("braid"), three),
+        (spec("segment-braid"), three),
+        (spec("segment-braid"), two),
+        (spec("superpose", inner=Scheme("angle"), outer=Scheme("boustrophedon")), [IDENT]),
+        (spec("superpose", inner=Scheme("oxplow"), outer=Scheme("edges-in")), [IDENT]),
+    ]
+    for family in FAMILIES:
+        if "shift" in family:
+            cases += [(spec(family, k=k), [IDENT]) for k in ((0, 3) if "columns" in family else (1, 4))]
+    assert {s.family for s, _ in cases} == set(FAMILIES)
+    return cases
+
+
+RULE_CASES = rule_cases()
+
+
+def case_id(case):
+    if isinstance(case, int):
+        return str(case)
+    spec, sources = case
+    return f"{spec.family}-k{spec.k}-d{spec.d}-{getattr(spec.combiner, '__name__', spec.combiner)}" \
+           f"-{spec.convention}-{len(sources)}"
+
+
+def with_positions(cases):
+    """Each case with its prefix length: 10^5 for a family's first case, 10^4 for the rest."""
+    seen = set()
+    for case in cases:
+        yield case, 10_000 if case[0].family in seen else 100_000
+        seen.add(case[0].family)
+
+
+@pytest.mark.parametrize("case, count", with_positions(RULE_CASES), ids=case_id)
+def test_term_matches_closed_form(case, count):
+    spec, sources = case
+    for n in range(1, count + 1):
+        assert tr.term(spec, sources, n) == direct_term(spec, sources, n), n
+
+
+def test_term_matches_closed_form_on_tilings():
+    for inner, outer in (("tiling:const:3x2:row", "center-out"),
+                         ("angle", "tiling:ramp:1+1x1+1:parity-tile")):
+        spec = TransformSpec("superpose", inner=parse_scheme(inner), outer=parse_scheme(outer))
+        expected = [direct_term(spec, [IDENT], n) for n in range(1, 2_001)]
+        assert [tr.term(spec, IDENT, n) for n in range(1, 2_001)] == expected
+        assert generate_prefix(spec, IDENT, 2_000) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(RULE_CASES), st.integers(1, 10**30))
+def test_term_matches_closed_form_far_out(case, n):
+    spec, sources = case
+    assert tr.term(spec, sources, n) == direct_term(spec, sources, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RULE_CASES), st.integers(1, 10**30), st.integers(1, 60))
+def test_iter_terms_from_any_start(case, start, m):
+    spec, sources = case
+    expected = [tr.term(spec, sources, n) for n in range(start, start + m)]
+    assert list(islice(iter_terms(spec, sources, start=start), m)) == expected
+
+
+# the rules that decode a row index themselves, one square root per cell
+ROOT_FREE_CASES = [(spec, sources) for spec, sources in RULE_CASES
+                   if spec.family != "double-reluctant" and not (spec.family == "eta" and spec.d > 2)]
+
+
+@pytest.mark.parametrize("case", ROOT_FREE_CASES, ids=case_id)
+def test_iter_terms_takes_one_square_root(case, monkeypatch):
+    # the walk decodes its start and then steps: over a prefix that crosses
+    # many diagonals or shells, one square root in all, at the start
+    spec, sources = case
+    roots = []
+
+    def counted(fn):
+        return lambda *args: roots.append(fn.__name__) or fn(*args)
+
+    for module in (pairing, tr):
+        monkeypatch.setattr(module, "isqrt", counted(module.isqrt))
+    for name in ("diagonal_index", "shell_index"):
+        monkeypatch.setattr(pairing, name, counted(getattr(pairing, name)))
+    expected = [direct_term(spec, sources, n) for n in range(1, 10_001)]
+    roots.clear()
+    assert generate_prefix(spec, sources, 10_000) == expected
+    assert sorted(roots) in (["diagonal_index", "isqrt"], ["isqrt", "shell_index"]), roots
+
+
+def test_iter_terms_validates_when_called():
+    with pytest.raises(ValueError, match="position"):
+        iter_terms(TransformSpec("reluctant"), IDENT, start=0)
+    with pytest.raises(ValueError, match="family braid "):
+        iter_terms(TransformSpec("braid"), [IDENT])
+    with pytest.raises(ValueError, match="position"):
+        tr.term(TransformSpec("max-shift-angle", k=1), IDENT, 0)
+
+
+def test_spec_checks_every_parameter_once():
+    bad = [
+        dict(family="pair", combiner="bogus"),
+        dict(family="reluctant", combiner="bogus"),
+        dict(family="self-compose", convention="exponential"),
+        dict(family="eta", d=0),
+        dict(family="shifted-columns", k=-1),
+        dict(family="shifted-columns-angle", k=-1),
+        dict(family="max-shift", k=0),
+        dict(family="segment-shift-angle", k=0),
+        dict(family="pair", combiner="power-sum", k=0),
+        dict(family="superpose", inner=Scheme("cantor0"), outer=Scheme("cantor")),
+        dict(family="superpose", inner=Scheme("cantor"), outer=Scheme("cantor0")),
+    ]
+    for fields in bad:
+        with pytest.raises(ValueError):
+            TransformSpec(**fields)
+    # the least shifts are accepted, and a callable combiner
+    for family in ("shifted-columns", "shifted-columns-angle"):
+        assert generate_prefix(TransformSpec(family, k=0), IDENT, 3) == [1, 1, 2]
+    assert generate_prefix(TransformSpec("max-shift", k=1), IDENT, 3) == [1, 2, 2]
+    assert generate_prefix(TransformSpec("pair", combiner=max), [IDENT, IDENT], 3) == [1, 2, 2]
