@@ -17,7 +17,7 @@ from . import oeis, oracle, schemes, transforms
 from .schemes import SIMPLE_KINDS, Scheme, parse_scheme, tiling_scheme
 from .sources import SourceError, parse_source
 from .tiling import ORDERS, SpecExhaustedError
-from .transforms import CONVENTIONS, FAMILIES, FAMILY_TABLE, SEVERAL, TransformSpec
+from .transforms import COMBINERS, CONVENTIONS, FAMILIES, FAMILY_TABLE, SEVERAL, TransformSpec
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -30,8 +30,22 @@ OUTPUT_CHUNK = 4096  # terms joined into one write by generate
 
 # the input-sequence flags a family reads, by its source count
 _SOURCE_FLAGS = {0: (), 1: ("alpha",), 2: ("alpha", "beta"), SEVERAL: ("sources",)}
-# the optional flags of generate and oeis-check that configure a family
-_FAMILY_OPTIONS = ("alpha", "beta", "sources", "k", "d", "combiner", "convention", "inner", "outer")
+# the flags of generate and oeis-check that configure a family: name ->
+# (value applied when a family that reads the flag is not given it, argparse
+# keywords).  argparse itself defaults each to None, so that a flag the
+# family does not read can be told from one that was left out.
+_FAMILY_OPTIONS = {
+    "alpha": ("id", dict(help="first input sequence")),
+    "beta": ("id", dict(help="second input sequence, for --family pair")),
+    "sources": (None, dict(nargs="+", help="input sequences, for the several-sequence families")),
+    "k": (1, dict(type=int, help="shift parameter / power-sum exponent; "
+                                 "required by the shift families")),
+    "d": (2, dict(type=int, help="tuple depth for --family eta")),
+    "combiner": ("product", dict(help=f"pair combiner: {', '.join(COMBINERS)}")),
+    "convention": ("linear", dict(choices=CONVENTIONS, help="self-composition reading")),
+    "inner": (None, dict(help="inner scheme for --family superpose, e.g. tiling:const:3x2:row")),
+    "outer": (None, dict(help="outer scheme for --family superpose, e.g. center-out")),
+}
 
 
 def _add_scheme_flags(sub):
@@ -72,23 +86,26 @@ def _source(parser, flag, text):
 def _transform_from_args(parser, args) -> tuple[TransformSpec, list]:
     family = FAMILY_TABLE[args.family]
     reads = family.reads + _SOURCE_FLAGS[family.sources]
-    for flag in _FAMILY_OPTIONS:
-        if getattr(args, flag) is not None and flag not in reads:
+    given = {flag: getattr(args, flag) for flag in _FAMILY_OPTIONS}
+    for flag, text in given.items():
+        if text is not None and flag not in reads:
             parser.error(f"--{flag} is not read by family {args.family}")
     if family.needs_k and args.k is None:
         parser.error(f"--k is required for family {args.family}")
+    value = {flag: default if given[flag] is None else given[flag]
+             for flag, (default, _) in _FAMILY_OPTIONS.items()}
     spec = TransformSpec(
         family=args.family,
-        k=1 if args.k is None else args.k,
-        d=2 if args.d is None else args.d,
-        combiner=args.combiner or "product",
-        convention=args.convention or "linear",
-        inner=_parse_schemeish(parser, "--inner", args.inner) if args.inner else None,
-        outer=_parse_schemeish(parser, "--outer", args.outer) if args.outer else None,
+        k=value["k"],
+        d=value["d"],
+        combiner=value["combiner"],
+        convention=value["convention"],
+        inner=None if args.inner is None else _parse_schemeish(parser, "--inner", args.inner),
+        outer=None if args.outer is None else _parse_schemeish(parser, "--outer", args.outer),
     )
     if family.sources == SEVERAL:
         return spec, [_source(parser, "--sources", s) for s in args.sources or ()]
-    flags = (("--alpha", args.alpha or "id"), ("--beta", args.beta or "id"))[:family.sources]
+    flags = (("--alpha", value["alpha"]), ("--beta", value["beta"]))[:family.sources]
     return spec, [_source(parser, flag, text) for flag, text in flags]
 
 
@@ -97,17 +114,10 @@ def _family_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--family", required=True, choices=FAMILIES, metavar="FAMILY",
                    help=f"one of: {', '.join(FAMILIES)}")
-    p.add_argument("--alpha", help="first input sequence (default id)")
-    p.add_argument("--beta", help="second input sequence, for --family pair (default id)")
-    p.add_argument("--sources", nargs="+", help="input sequences, for the several-sequence families")
-    p.add_argument("--k", type=int, help="shift parameter / power-sum exponent")
-    p.add_argument("--d", type=int, help="tuple depth for --family eta (default 2)")
-    p.add_argument("--combiner",
-                   help="pair combiner: product (default), power-sum, concat, iterate")
-    p.add_argument("--convention", choices=CONVENTIONS,
-                   help="self-composition reading (default linear)")
-    p.add_argument("--inner", help="inner scheme for --family superpose, e.g. tiling:const:3x2:row")
-    p.add_argument("--outer", help="outer scheme for --family superpose, e.g. center-out")
+    for flag, (default, keywords) in _FAMILY_OPTIONS.items():
+        if default is not None:
+            keywords = {**keywords, "help": f"{keywords['help']} (default {default})"}
+        p.add_argument(f"--{flag}", **keywords)
     return p
 
 
@@ -183,10 +193,36 @@ def _generate_terms(parser, args) -> list[int] | int:
     return terms
 
 
+def _first_unprintable(terms: list[int], limit: int) -> int | None:
+    """Position of the first term with more than ``limit`` decimal digits, if any.
+
+    An int of at most 3 * limit bits is below 8**limit, so it has at most
+    ``limit`` digits; only longer ones are tried, and str refuses those
+    over the limit before converting anything.
+    """
+    if not limit or max(map(int.bit_length, terms)) <= 3 * limit:
+        return None
+    for n, v in enumerate(terms, 1):
+        if v.bit_length() > 3 * limit:
+            try:
+                str(v)
+            except ValueError:
+                return n
+    return None
+
+
 def cmd_generate(parser, args) -> int:
     terms = _generate_terms(parser, args)
     if isinstance(terms, int):
         return terms
+    # CPython refuses to turn an int of more digits than its limit into a
+    # string; find such a term before anything is written
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    n = _first_unprintable(terms, limit)
+    if n is not None:
+        print(f"error at n={n}: the term has more than {limit} decimal digits, "
+              "too many to print", file=sys.stderr)
+        return EXIT_SOURCE
     if args.format == "json":
         print(json.dumps([str(v) for v in terms]))
         return EXIT_OK

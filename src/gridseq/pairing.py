@@ -39,6 +39,18 @@ def shell_index(n: int) -> int:
     return isqrt(n - 1) + 1
 
 
+def diagonal_position(n: int) -> tuple[int, int]:
+    """(t, p): position n is the p-th cell, 1 <= p <= t + 1, of anti-diagonal t."""
+    t = diagonal_index(n)
+    return t, n - triangle(t)
+
+
+def shell_position(n: int) -> tuple[int, int]:
+    """(s, q): position n is the q-th cell, 1 <= q <= 2s - 1, of square shell s."""
+    s = shell_index(n)
+    return s, n - (s - 1) ** 2
+
+
 def half_round_sqrt(n: int) -> int:
     """floor(sqrt(n) + 1/2), computed exactly as (isqrt(4n) + 1) // 2."""
     return (isqrt(4 * n) + 1) // 2
@@ -59,8 +71,7 @@ def cantor_cell(t: int, p: int) -> Cell:
 
 def cantor_decode(n: int) -> Cell:
     """Inverse of cantor_encode: i = n - t(t+1)/2, j = (t^2+3t+4)/2 - n."""
-    t = diagonal_index(n)
-    return cantor_cell(t, n - triangle(t))
+    return cantor_cell(*diagonal_position(n))
 
 
 def cantor_z(x: int, y: int) -> int:
@@ -75,18 +86,23 @@ def cantor_z_cell(t: int, p: int) -> tuple[int, int]:
     return p - 1, t + 1 - p
 
 
-def cantor_z_decode(z: int) -> tuple[int, int]:
-    """Inverse of cantor_z: position z is the 1-based position z + 1, shifted down."""
+def cantor_z_position(z: int) -> tuple[int, int]:
+    """(t, p) of zero-based position z: the diagonal position of z + 1."""
     if z < 0:
         raise ValueError(f"zero-based position must be >= 0, got {z}")
-    t = diagonal_index(z + 1)
-    return cantor_z_cell(t, z + 1 - triangle(t))
+    return diagonal_position(z + 1)
+
+
+def cantor_z_decode(z: int) -> tuple[int, int]:
+    """Inverse of cantor_z: position z is the 1-based position z + 1, shifted down."""
+    return cantor_z_cell(*cantor_z_position(z))
 
 
 # -- permuted diagonal enumerations ------------------------------------------
 # Position n is the p-th cell of the diagonal i + j = t + 2; each decoder
-# finds t and p, then its scheme's cell formula inverts the permutation of
-# that diagonal to the row i = r.  ``schemes.walk`` steps the same formulas.
+# takes (t, p) from diagonal_position, then its scheme's cell formula
+# inverts the permutation of that diagonal to the row i = r.
+# ``schemes.walk`` steps the same formulas.
 
 def boustrophedon_encode(i: int, j: int) -> int:
     """Diagonal order with neighbouring diagonals traversed in opposite directions."""
@@ -103,8 +119,7 @@ def boustrophedon_cell(t: int, p: int) -> Cell:
 
 def boustrophedon_decode(n: int) -> Cell:
     """Inverse of boustrophedon_encode."""
-    t = diagonal_index(n)
-    return boustrophedon_cell(t, n - triangle(t))
+    return boustrophedon_cell(*diagonal_position(n))
 
 
 def center_out_encode(i: int, j: int) -> int:
@@ -124,8 +139,7 @@ def center_out_cell(t: int, p: int) -> Cell:
 
 def center_out_decode(n: int) -> Cell:
     """Inverse of center_out_encode."""
-    t = diagonal_index(n)
-    return center_out_cell(t, n - triangle(t))
+    return center_out_cell(*diagonal_position(n))
 
 
 def edges_in_encode(i: int, j: int) -> int:
@@ -144,8 +158,7 @@ def edges_in_cell(t: int, p: int) -> Cell:
 
 def edges_in_decode(n: int) -> Cell:
     """Inverse of edges_in_encode."""
-    t = diagonal_index(n)
-    return edges_in_cell(t, n - triangle(t))
+    return edges_in_cell(*diagonal_position(n))
 
 
 def alternating_encode(i: int, j: int) -> int:
@@ -163,8 +176,7 @@ def alternating_cell(t: int, p: int) -> Cell:
 
 def alternating_decode(n: int) -> Cell:
     """Inverse of alternating_encode."""
-    t = diagonal_index(n)
-    return alternating_cell(t, n - triangle(t))
+    return alternating_cell(*diagonal_position(n))
 
 
 # -- square-shell enumerations -----------------------------------------------
@@ -185,8 +197,7 @@ def angle_cell(s: int, q: int) -> Cell:
 
 def angle_decode(n: int) -> Cell:
     """Inverse of angle_encode: i = min(s, n-(s-1)^2), j = min(s, s^2-n+1)."""
-    s = shell_index(n)
-    return angle_cell(s, n - (s - 1) ** 2)
+    return angle_cell(*shell_position(n))
 
 
 def oxplow_encode(i: int, j: int) -> int:
@@ -207,5 +218,4 @@ def oxplow_cell(s: int, q: int) -> Cell:
 
 def oxplow_decode(n: int) -> Cell:
     """Inverse of oxplow_encode; swaps the two shell coordinates on odd shells."""
-    s = shell_index(n)
-    return oxplow_cell(s, n - (s - 1) ** 2)
+    return oxplow_cell(*shell_position(n))

@@ -39,28 +39,28 @@ _ENCODERS = {
     "oxplow": pairing.oxplow_encode,
 }
 
-_DECODERS = {
-    "cantor": pairing.cantor_decode,
-    "cantor0": pairing.cantor_z_decode,
-    "boustrophedon": pairing.boustrophedon_decode,
-    "center-out": pairing.center_out_decode,
-    "edges-in": pairing.edges_in_decode,
-    "alternating": pairing.alternating_decode,
-    "angle": pairing.angle_decode,
-    "oxplow": pairing.oxplow_decode,
-}
 
-# cell(t, p) formulas shared by the decoders and the walker: the p-th cell
-# of diagonal t, or the p-th cell of shell t
-_DIAGONAL_CELLS = {
-    "cantor": pairing.cantor_cell,
-    "cantor0": pairing.cantor_z_cell,
-    "boustrophedon": pairing.boustrophedon_cell,
-    "center-out": pairing.center_out_cell,
-    "edges-in": pairing.edges_in_cell,
-    "alternating": pairing.alternating_cell,
+def _diagonal_size(t: int) -> int:
+    return t + 1
+
+
+def _shell_size(s: int) -> int:
+    return 2 * s - 1
+
+
+# kind -> (position, cell, size): position(n) = (t, p) puts n at the p-th
+# cell of block t, an anti-diagonal or a square shell; cell(t, p) is that
+# cell; block t holds size(t) cells.  decode and walk both read this table.
+_READERS = {
+    "cantor": (pairing.diagonal_position, pairing.cantor_cell, _diagonal_size),
+    "cantor0": (pairing.cantor_z_position, pairing.cantor_z_cell, _diagonal_size),
+    "boustrophedon": (pairing.diagonal_position, pairing.boustrophedon_cell, _diagonal_size),
+    "center-out": (pairing.diagonal_position, pairing.center_out_cell, _diagonal_size),
+    "edges-in": (pairing.diagonal_position, pairing.edges_in_cell, _diagonal_size),
+    "alternating": (pairing.diagonal_position, pairing.alternating_cell, _diagonal_size),
+    "angle": (pairing.shell_position, pairing.angle_cell, _shell_size),
+    "oxplow": (pairing.shell_position, pairing.oxplow_cell, _shell_size),
 }
-_SHELL_CELLS = {"angle": pairing.angle_cell, "oxplow": pairing.oxplow_cell}
 
 
 @dataclass(frozen=True)
@@ -132,16 +132,18 @@ def decode(scheme: Scheme, n: int) -> Cell:
     """Cell at position n under the scheme."""
     if scheme.kind == "tiling":
         return tiling.rect_decode(n, scheme.tiling, scheme.order)
-    return _DECODERS[scheme.kind](n)
+    position, cell, _ = _READERS[scheme.kind]
+    return cell(*position(n))
 
 
 def walk(scheme: Scheme, start: int | None = None) -> Iterator[Cell]:
     """The scheme's cells in order, from position ``start`` on (default: the first).
 
-    The diagonal and shell kinds decode ``start`` once, then step through
-    each diagonal or shell with the decoder's own cell formula, so no cell
-    after the first costs a square root.  Tilings decode position by
-    position.  A bad ``start`` raises here, not on the first ``next``.
+    The diagonal and shell kinds locate ``start`` once, as :func:`decode`
+    does, then step through each diagonal or shell with the same cell
+    formula, so no cell after the first costs a square root.  Tilings
+    decode position by position.  A bad ``start`` raises here, not on the
+    first ``next``.
     """
     if start is None:
         start = first_index(scheme)
@@ -149,24 +151,11 @@ def walk(scheme: Scheme, start: int | None = None) -> Iterator[Cell]:
         if start < 1:
             raise ValueError(f"position must be >= 1, got {start}")
         return map(partial(decode, scheme), count(start))
-    if scheme.kind in _SHELL_CELLS:
-        s = pairing.shell_index(start)
-        return _shells(_SHELL_CELLS[scheme.kind], s, start - (s - 1) ** 2)
-    if scheme.kind == "cantor0":
-        if start < 0:
-            raise ValueError(f"zero-based position must be >= 0, got {start}")
-        start += 1  # the same diagonals, numbered from 1
-    t = pairing.diagonal_index(start)
-    return _diagonals(_DIAGONAL_CELLS[scheme.kind], t, start - pairing.triangle(t))
+    position, cell, size = _READERS[scheme.kind]
+    return _blocks(cell, size, *position(start))
 
 
-def _diagonals(cell, t: int, p: int) -> Iterator[Cell]:
-    while True:  # diagonal t holds t + 1 cells
-        yield from map(cell, repeat(t), range(p, t + 2))
+def _blocks(cell, size, t: int, p: int) -> Iterator[Cell]:
+    while True:
+        yield from map(cell, repeat(t), range(p, size(t) + 1))
         t, p = t + 1, 1
-
-
-def _shells(cell, s: int, q: int) -> Iterator[Cell]:
-    while True:  # shell s holds 2s - 1 cells
-        yield from map(cell, repeat(s), range(q, 2 * s))
-        s, q = s + 1, 1

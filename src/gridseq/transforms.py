@@ -7,8 +7,8 @@ most families, the square shells (``angle``) for the three ``-angle``
 families, and the outer scheme for ``superpose``.  A row of
 :data:`FAMILY_TABLE` holds the rule and the reader.  :func:`iter_terms`
 applies the rule along :func:`schemes.walk`, which decodes its first
-position and then steps from cell to cell; :func:`term` applies it to one
-decoded cell.
+position and then steps from cell to cell; :func:`term` is the first term
+of that walk.
 
 The ``*_index`` functions and the functions named after the families are
 the paper's closed forms, position straight to source index.  They stay
@@ -503,9 +503,8 @@ def _bind(spec: TransformSpec, sources) -> tuple[Callable, Scheme]:
 
 
 def term(spec: TransformSpec, sources, n: int) -> int:
-    """omega(n) for the configured family: its array rule at the reader's n-th cell."""
-    cell, reader = _bind(spec, sources)
-    return cell(*_schemes.decode(reader, n))
+    """omega(n) for the configured family: the first term of its walk from n."""
+    return next(iter_terms(spec, sources, n))
 
 
 def iter_terms(spec: TransformSpec, sources, start: int = 1) -> Iterator[int]:

@@ -147,6 +147,17 @@ def test_generate_budget_exit3(capsys):
                          "--alpha", "list:0,1,2", "--count", "3")
     assert (code, out) == (3, "")
     assert "n=1" in err
+    # a term too long to print as a decimal is found before anything is written
+    for fmt in ("plain", "json"):
+        code, out, err = run(capsys, "generate", "--family", "self-compose", "--alpha", "pow:2",
+                             "--count", "11", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err.startswith("error at n=11: ")  # 2**65536, after ten printable terms
+    # 1 + 91**2200 at cell (1, 91), position 4096, past the first output chunk
+    code, out, err = run(capsys, "generate", "--family", "pair", "--combiner", "power-sum",
+                         "--k", "2200", "--count", "5000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error at n=4096: ")
 
 
 def test_verify(capsys):
@@ -242,6 +253,11 @@ def test_usage_errors_exit2(capsys):
     assert run_usage_error(capsys, "generate", "--family", "reluctant", "--sources", "primes", "phi",
                            "--beta", "geo:3", "--combiner", "bogus", "--count", "3") == 2
     assert run_usage_error(capsys, "generate", "--family", "pair", "--combiner", "bogus",
+                           "--count", "3") == 2
+    # an empty value is a value, refused like any other bad one, not the default
+    assert run_usage_error(capsys, "generate", "--family", "reluctant", "--alpha", "",
+                           "--count", "3") == 2
+    assert run_usage_error(capsys, "generate", "--family", "pair", "--combiner", "",
                            "--count", "3") == 2
     assert set(FAMILY_READS) == set(FAMILIES)
     for family, reads in FAMILY_READS.items():

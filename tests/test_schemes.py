@@ -47,7 +47,7 @@ def test_first_index():
 
 
 def test_dispatch_tables_cover_every_kind():
-    assert set(schemes._DECODERS) == set(schemes._ENCODERS) == set(SIMPLE_KINDS)
+    assert set(schemes._READERS) == set(schemes._ENCODERS) == set(SIMPLE_KINDS)
 
 
 def test_decode_by_search_examples():
