@@ -53,10 +53,7 @@ from .tiling import (
     parse_tiling_spec,
     ramp_rule,
     rect_decode,
-    rect_encode_colwise,
-    rect_encode_const,
-    rect_encode_parity,
-    rect_encode_rowwise,
+    rect_encode,
 )
 from .transforms import (
     TransformSpec,

@@ -118,13 +118,7 @@ def first_index(scheme: Scheme) -> int:
 def encode(scheme: Scheme, i: int, j: int) -> int:
     """Position of cell (i, j) under the scheme."""
     if scheme.kind == "tiling":
-        if scheme.order == "row":
-            return tiling.rect_encode_rowwise(i, j, scheme.tiling)
-        if scheme.order == "col":
-            return tiling.rect_encode_colwise(i, j, scheme.tiling)
-        return tiling.rect_encode_parity(
-            i, j, scheme.tiling, by=scheme.order.removeprefix("parity-")
-        )
+        return tiling.rect_encode(i, j, scheme.tiling, scheme.order)
     return _ENCODERS[scheme.kind](i, j)
 
 

@@ -7,16 +7,22 @@ and the cells inside each tile are numbered row by row, column by column,
 or by one of two parity-alternating mixes of the two.
 
 Tile side rules are finite descriptions (constant, explicit list, linear
-ramp) so a cover can be written down, parsed back, and reproduced.  Prefix
-sums of the side rules are memoised on the spec instance; the memo is
-append-only but not locked, so share a spec across threads only for
-reading after warm-up, or confine it to one thread.
+ramp) so a cover can be written down, parsed back, and reproduced.  A
+constant rule is a ramp with step 0, so every count has two paths: exact
+polynomials when neither rule is a list, and sums over the list's side
+sums, built once at construction, otherwise.  Encoding evaluates the
+counts once; decoding bisects them, O(log n) evaluations.  Rules and
+specs never change after construction, so they can be shared freely
+across threads.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from math import isqrt
 
-from .pairing import Cell, cantor_z, _check_cell, _check_index
+from .pairing import Cell, cantor_z, diagonal_index, _check_cell, _check_index
 
 ORDERS = ("row", "col", "parity-diag", "parity-tile")
 _ORDER_ALIASES = {"parity": "parity-diag", "column": "col"}
@@ -47,27 +53,59 @@ class SideRule:
         if self.kind == "const":
             if self.const < 1:
                 raise ValueError("constant tile side must be >= 1")
+            affine = (self.const, 0)
         elif self.kind == "list":
             if not self.values or any(v < 1 for v in self.values):
                 raise ValueError("tile side list must be non-empty with sides >= 1")
+            affine = None
+            object.__setattr__(self, "_sums", tuple(accumulate(self.values, initial=0)))
         elif self.kind == "ramp":
             if self.start < 1 or self.step < 0:
                 raise ValueError("ramp must start >= 1 with a non-negative step")
+            affine = (self.start, self.step)
         else:
             raise ValueError(f"unknown side rule kind {self.kind!r}")
+        # fixed here, so no later call grows anything: affine = (a, b) with
+        # side(m) = a + b*(m-1), None for a list, whose _sums[m] = sides 1..m
+        object.__setattr__(self, "affine", affine)
 
     def side(self, m: int) -> int:
         if m < 1:
             raise ValueError("tile side index is 1-based")
-        if self.kind == "const":
-            return self.const
-        if self.kind == "ramp":
-            return self.start + self.step * (m - 1)
+        if self.affine:
+            a, b = self.affine
+            return a + b * (m - 1)
         if m > len(self.values):
-            raise SpecExhaustedError(
-                f"side list has {len(self.values)} entries, needed entry {m}"
-            )
+            raise self._exhausted(m)
         return self.values[m - 1]
+
+    def total(self, m: int) -> int:
+        """Sum of the first m sides (0 for m = 0)."""
+        if self.affine:
+            a, b = self.affine
+            return a * m + b * (m * (m - 1) // 2)
+        if m >= len(self._sums):
+            raise self._exhausted(len(self._sums))
+        return self._sums[m]
+
+    def split(self, x: int) -> tuple[int, int]:
+        """(m, k) for coordinate x >= 1: m whole tiles lie before it, k cells of tile m + 1 too."""
+        if self.affine:
+            a, b = self.affine
+            if b == 0:
+                return divmod(x - 1, a)
+            # the largest m >= 0 with b*m^2 + c*m <= 2(x - 1); taking the integer
+            # square root first loses nothing, since 2*b*m + c is an integer
+            c = 2 * a - b
+            m = (isqrt(c * c + 8 * b * (x - 1)) - c) // (2 * b)
+            return m, x - 1 - self.total(m)
+        if x > self._sums[-1]:
+            raise self._exhausted(len(self._sums))
+        m = bisect_left(self._sums, x) - 1
+        return m, x - 1 - self._sums[m]
+
+    def _exhausted(self, m: int) -> SpecExhaustedError:
+        return SpecExhaustedError(f"side list has {len(self.values)} entries, needed entry {m}")
 
     def text(self) -> str:
         if self.kind == "const":
@@ -92,19 +130,17 @@ def ramp_rule(start: int, step: int = 1) -> SideRule:
 class TilingSpec:
     """A rectangle cover: a lengths rule (along columns) and a heights rule (along rows)."""
 
+    __slots__ = ("lengths", "heights", "_coeffs")
+
     def __init__(self, lengths: SideRule, heights: SideRule):
         self.lengths = lengths
         self.heights = heights
-        self._lsum = [0]  # _lsum[m] = l_1 + ... + l_m
-        self._hsum = [0]
-        self._diag_cum = []  # cells in tile diagonals 0..d, for decoding
+        # with no list rule, tile row r (0-based) is A + B*r high, tile column s is C + E*s wide
+        self._coeffs = (*heights.affine, *lengths.affine) if heights.affine and lengths.affine else None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TilingSpec)
-            and self.lengths == other.lengths
-            and self.heights == other.heights
-        )
+        return (isinstance(other, TilingSpec)
+                and (self.lengths, self.heights) == (other.lengths, other.heights))
 
     def __hash__(self):
         return hash((self.lengths, self.heights))
@@ -126,31 +162,33 @@ class TilingSpec:
 
     def lsum(self, m: int) -> int:
         """l_1 + ... + l_m (0 for m = 0)."""
-        while len(self._lsum) <= m:
-            self._lsum.append(self._lsum[-1] + self.lengths.side(len(self._lsum)))
-        return self._lsum[m]
+        return self.lengths.total(m)
 
     def hsum(self, m: int) -> int:
-        while len(self._hsum) <= m:
-            self._hsum.append(self._hsum[-1] + self.heights.side(len(self._hsum)))
-        return self._hsum[m]
-
-    def _grow_lsum_past(self, j: int) -> None:
-        while self._lsum[-1] < j:
-            self.lsum(len(self._lsum))
-
-    def _grow_hsum_past(self, i: int) -> None:
-        while self._hsum[-1] < i:
-            self.hsum(len(self._hsum))
+        return self.heights.total(m)
 
     def diag_cells(self, d: int) -> int:
         """Total cells in tile anti-diagonals 0..d."""
-        while len(self._diag_cum) <= d:
-            e = len(self._diag_cum)
-            cells = sum(self.height(r + 1) * self.length(e - r + 1) for r in range(e + 1))
-            prev = self._diag_cum[-1] if self._diag_cum else 0
-            self._diag_cum.append(prev + cells)
-        return self._diag_cum[d]
+        return self._cells_before(d + 1)
+
+    def _cells_before(self, d: int) -> int:
+        # cells in tile anti-diagonals 0..d-1
+        if self._coeffs is None:
+            return sum(self.height(r) * self.lsum(d + 1 - r) for r in range(1, d + 1))
+        # A*C*binom(d+1, 2) + (A*E + B*C)*binom(d+1, 3) + B*E*binom(d+1, 4),
+        # in Horner form over the common factor (d+1)*d/24; the division is exact
+        A, B, C, E = self._coeffs
+        return (d + 1) * d * (12 * A * C + (d - 1) * (4 * (A * E + B * C) + B * E * (d - 2))) // 24
+
+    def _cells_above(self, d: int, R: int) -> int:
+        # cells in the R tiles above tile (R, d - R) on tile anti-diagonal d
+        if self._coeffs is None:
+            return sum(self.height(r) * self.length(d + 2 - r) for r in range(1, R + 1))
+        # A*K*R + (B*K - A*E)*R(R-1)/2 - B*E*(R-1)R(2R-1)/6 with K = C + E*d,
+        # over the common factor R/6; the division is exact
+        A, B, C, E = self._coeffs
+        K = C + E * d
+        return R * (6 * A * K + (R - 1) * (3 * (B * K - A * E) - B * E * (2 * R - 1))) // 6
 
 
 def parse_tiling_spec(text: str) -> TilingSpec:
@@ -165,15 +203,10 @@ def parse_tiling_spec(text: str) -> TilingSpec:
         if kind == "const":
             return TilingSpec(const_rule(int(left)), const_rule(int(right)))
         if kind == "list":
-            return TilingSpec(
-                list_rule(int(v) for v in left.split(",")),
-                list_rule(int(v) for v in right.split(",")),
-            )
+            return TilingSpec(list_rule(map(int, left.split(","))), list_rule(map(int, right.split(","))))
         la, _, lb = left.partition("+")
         ha, _, hb = right.partition("+")
-        return TilingSpec(
-            ramp_rule(int(la), int(lb or 1)), ramp_rule(int(ha), int(hb or 1))
-        )
+        return TilingSpec(ramp_rule(int(la), int(lb or 1)), ramp_rule(int(ha), int(hb or 1)))
     except ValueError as exc:
         raise ValueError(f"bad tiling spec {text!r}: {exc}") from None
 
@@ -181,99 +214,69 @@ def parse_tiling_spec(text: str) -> TilingSpec:
 def locate_tile(i: int, j: int, spec: TilingSpec) -> tuple[int, int]:
     """(R, S): whole tile rows above and whole tile columns left of cell (i, j)."""
     _check_cell(i, j)
-    spec._grow_hsum_past(i)
-    spec._grow_lsum_past(j)
-    return bisect_left(spec._hsum, i) - 1, bisect_left(spec._lsum, j) - 1
+    return spec.heights.split(i)[0], spec.lengths.split(j)[0]
 
 
-def _staircase_cells(spec: TilingSpec, d: int) -> int:
-    # cells in the stair-step triangle of tiles strictly before diagonal d
-    return sum(spec.height(r) * spec.lsum(d + 1 - r) for r in range(1, d + 1))
+def _colwise(order: str, R: int, S: int) -> bool:
+    # parity-tile keys to the tile's zero-based number in the tile enumeration
+    if order == "parity-diag":
+        return (R + S) % 2 == 1
+    if order == "parity-tile":
+        return cantor_z(R, S) % 2 == 1
+    return order == "col"
 
 
-def _tiles_above(spec: TilingSpec, R: int, S: int) -> int:
-    # cells in the R tiles above (R, S) on its own tile diagonal
-    d = R + S
-    return sum(spec.height(r) * spec.length(d + 2 - r) for r in range(1, R + 1))
-
-
-def _row_offset(spec: TilingSpec, R: int, S: int, i: int, j: int) -> int:
-    return spec.length(S + 1) * (i - spec.hsum(R) - 1) + j - spec.lsum(S)
-
-
-def _col_offset(spec: TilingSpec, R: int, S: int, i: int, j: int) -> int:
-    return spec.height(R + 1) * (j - spec.lsum(S) - 1) + i - spec.hsum(R)
-
-
-def _parity(spec: TilingSpec, R: int, S: int, by: str) -> int:
-    if by not in ("diag", "tile"):
-        raise ValueError(f"parity source must be 'diag' or 'tile', got {by!r}")
-    t = R + S if by == "diag" else cantor_z(R, S)
-    return t % 2
-
-
-def rect_encode_rowwise(i: int, j: int, spec: TilingSpec) -> int:
-    """Tiled position with row-by-row numbering inside every tile."""
-    R, S = locate_tile(i, j, spec)
-    return _staircase_cells(spec, R + S) + _tiles_above(spec, R, S) + _row_offset(spec, R, S, i, j)
-
-
-def rect_encode_colwise(i: int, j: int, spec: TilingSpec) -> int:
-    """Tiled position with column-by-column numbering inside every tile."""
-    R, S = locate_tile(i, j, spec)
-    return _staircase_cells(spec, R + S) + _tiles_above(spec, R, S) + _col_offset(spec, R, S, i, j)
-
-
-def rect_encode_parity(i: int, j: int, spec: TilingSpec, by: str = "diag") -> int:
-    """Tiled position numbering tiles row-wise or column-wise by parity.
-
-    ``by="diag"`` keys the parity to the tile diagonal R+S; ``by="tile"``
-    keys it to the tile's zero-based number in the tile enumeration.  Even
-    parity numbers row by row, odd column by column.
-    """
-    R, S = locate_tile(i, j, spec)
-    head = _staircase_cells(spec, R + S) + _tiles_above(spec, R, S)
-    if _parity(spec, R, S, by):
-        return head + _col_offset(spec, R, S, i, j)
-    return head + _row_offset(spec, R, S, i, j)
-
-
-def rect_encode_const(i: int, j: int, l: int, h: int) -> int:
-    """Fast path for constant l x h tiles, row-wise inside.
-
-    n = (l*h/2)*((R+S)^2 + 3R + S) + l*(i - h*R - S - 1) + j
-    with R = (i-1)//h, S = (j-1)//l.
-    """
+def rect_encode(i: int, j: int, spec: TilingSpec, order: str = "row") -> int:
+    """Position of cell (i, j), numbered inside its tile by ``order`` (one of ORDERS)."""
+    order = canonical_order(order)
     _check_cell(i, j)
-    if l < 1 or h < 1:
-        raise ValueError("tile sides must be >= 1")
-    R = (i - 1) // h
-    S = (j - 1) // l
-    return l * h * ((R + S) ** 2 + 3 * R + S) // 2 + l * (i - h * R - S - 1) + j
+    (R, di), (S, dj) = spec.heights.split(i), spec.lengths.split(j)
+    d = R + S
+    head = spec._cells_before(d) + spec._cells_above(d, R)
+    if _colwise(order, R, S):
+        return head + spec.height(R + 1) * dj + di + 1
+    return head + spec.length(S + 1) * di + dj + 1
+
+
+def _last_below(count, n: int, hi: int) -> tuple[int, int]:
+    # (x, count(x)) for the largest x in [0, hi) with count(x) < n, where count
+    # increases from count(0) = 0 and n <= count(hi), which is never evaluated;
+    # hi - 1 goes first, as the callers' bounds are exact when all tiles have one size
+    if hi > 1 and (top := count(hi - 1)) < n:
+        return hi - 1, top
+    lo, below = 0, 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (c := count(mid)) < n:
+            lo, below = mid, c
+        else:
+            hi = mid
+    return lo, below
 
 
 def rect_decode(n: int, spec: TilingSpec, order: str = "row") -> Cell:
-    """Cell at position n: walk tile diagonals to the tile, then index inside it."""
+    """Cell at position n: bisect for its tile diagonal, then its tile, then index inside it."""
     _check_index(n)
     order = canonical_order(order)
-    d = 0
-    while spec.diag_cells(d) < n:
-        d += 1
-    base = spec.diag_cells(d - 1) if d else 0
-    for R in range(d + 1):
-        S = d - R
-        size = spec.height(R + 1) * spec.length(S + 1)
-        if base + size >= n:
-            q = n - base - 1  # 0-based offset inside the tile
-            colwise = order == "col" or (
-                order.startswith("parity") and _parity(spec, R, S, order.removeprefix("parity-"))
-            )
-            if colwise:
-                i = spec.hsum(R) + 1 + q % spec.height(R + 1)
-                j = spec.lsum(S) + 1 + q // spec.height(R + 1)
-            else:
-                i = spec.hsum(R) + 1 + q // spec.length(S + 1)
-                j = spec.lsum(S) + 1 + q % spec.length(S + 1)
-            return i, j
-        base += size
-    raise AssertionError("unreachable: diagonal walk missed its own count")
+    if spec._coeffs is None:
+        # lists of L sides complete tile diagonals 0..L-1 and no more
+        flat, hi = 1, min(len(rule.values) for rule in (spec.lengths, spec.heights) if not rule.affine)
+        if spec._cells_before(hi) < n:
+            short = spec.lengths if len(spec.lengths.values) == hi else spec.heights
+            raise short._exhausted(hi + 1)
+    else:
+        # no tile has fewer than A*C cells, so n lies no further out than on
+        # a cover by A x C tiles, whose diagonals are triangular
+        A, _, C, _ = spec._coeffs
+        flat = A * C
+        hi = diagonal_index(-(-n // flat)) + 1
+    d, before = _last_below(spec._cells_before, n, hi)
+    q = n - before
+    R, above = _last_below(partial(spec._cells_above, d), q, min(d, (q - 1) // flat) + 1)
+    q -= above + 1  # 0-based offset inside tile (R, d - R)
+    S = d - R
+    if _colwise(order, R, S):
+        dj, di = divmod(q, spec.height(R + 1))
+    else:
+        di, dj = divmod(q, spec.length(S + 1))
+    return spec.hsum(R) + 1 + di, spec.lsum(S) + 1 + dj

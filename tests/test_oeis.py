@@ -186,10 +186,13 @@ def test_report_str():
 
 def test_cli_import_leaves_the_fetch_client_unloaded():
     # urllib.request costs more to import than the rest of the package, and
-    # only online mode needs it; -I keeps the environment from preloading it
+    # only online mode needs it; -I keeps the environment from preloading it.
+    # The tiling arithmetic is exact integers through math.comb and isqrt, so
+    # neither fractions nor decimal belongs in the import either.
     src = str(Path(gridseq.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import gridseq.cli; "
-            "print('urllib.request' in sys.modules, 'urllib.error' in sys.modules)")
+            "print([m in sys.modules for m in "
+            "('urllib.request', 'urllib.error', 'fractions', 'decimal')])")
     done = subprocess.run([sys.executable, "-I", "-c", code, src],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout == "False False\n"
+    assert done.stdout == "[False, False, False, False]\n"

@@ -127,6 +127,16 @@ def test_traversal_code_is_formula_free():
         "walk(",
         "_cell(",
         "iter_terms",
+        "hsum",
+        "lsum",
+        "diag_cells",
+        "locate_tile",
+        "comb(",
+        "split(",
+        "total(",
+        "_cells_before",
+        "_cells_above",
+        "_last_below",
     )
     for name in forbidden:
         assert name not in walk_code, f"oracle walk references {name}"

@@ -1,3 +1,7 @@
+import sys
+import threading
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,27 +15,27 @@ from gridseq.tiling import (
     list_rule,
     locate_tile,
     parse_tiling_spec,
+    ramp_rule,
     rect_decode,
-    rect_encode_colwise,
-    rect_encode_const,
-    rect_encode_parity,
-    rect_encode_rowwise,
+    rect_encode,
 )
 from support import CONST32_TILING_CELLS, RAMP_TILING_CELLS
 
 CONST32 = parse_tiling_spec("const:3x2")
 CONST22 = parse_tiling_spec("const:2x2")
 RAMP = parse_tiling_spec("ramp:1+1x1+1")
+# fifteen sides each way: complete tile diagonals cover positions 1..2229
+LIST15 = "list:3,1,4,1,5,9,2,6,5,3,5,8,9,7,9x2,7,1,8,2,8,1,8,2,8,4,5,9,4,5"
 
 
 def test_published_first_terms_const_3x2():
-    assert [rect_encode_rowwise(i, j, CONST32) for i, j in CONST32_TILING_CELLS] == list(
+    assert [rect_encode(i, j, CONST32) for i, j in CONST32_TILING_CELLS] == list(
         range(1, len(CONST32_TILING_CELLS) + 1)
     )
 
 
 def test_published_first_terms_ramp():
-    assert [rect_encode_rowwise(i, j, RAMP) for i, j in RAMP_TILING_CELLS] == list(
+    assert [rect_encode(i, j, RAMP) for i, j in RAMP_TILING_CELLS] == list(
         range(1, len(RAMP_TILING_CELLS) + 1)
     )
 
@@ -53,47 +57,48 @@ def test_locate_tile_spec_exhausted():
 
 
 def test_rowwise_examples():
-    assert rect_encode_rowwise(1, 4, CONST32) == 7
-    assert rect_encode_rowwise(2, 3, CONST32) == 6
-    assert rect_encode_rowwise(2, 1, RAMP) == 4
+    assert rect_encode(1, 4, CONST32) == 7
+    assert rect_encode(2, 3, CONST32) == 6
+    assert rect_encode(2, 1, RAMP, "row") == 4
 
 
 def test_colwise_examples():
     unit = parse_tiling_spec("const:1x1")
-    assert rect_encode_colwise(2, 1, unit) == 3
-    assert rect_encode_colwise(2, 1, CONST32) == 2
-    assert rect_encode_colwise(1, 4, CONST32) == 7
+    assert rect_encode(2, 1, unit, "col") == 3
+    assert rect_encode(2, 1, CONST32, "col") == 2
+    assert rect_encode(1, 4, CONST32, "column") == 7
 
 
 def test_parity_examples():
     unit = parse_tiling_spec("const:1x1")
     for i in range(1, 12):
         for j in range(1, 12):
-            assert rect_encode_parity(i, j, unit, by="diag") == pairing.cantor_encode(i, j)
-            assert rect_encode_parity(i, j, unit, by="tile") == pairing.cantor_encode(i, j)
-    assert rect_encode_parity(1, 1, CONST22, by="diag") == 1
+            assert rect_encode(i, j, unit, "parity-diag") == pairing.cantor_encode(i, j)
+            assert rect_encode(i, j, unit, "parity-tile") == pairing.cantor_encode(i, j)
+    assert rect_encode(1, 1, CONST22, "parity-diag") == 1
     # tile diagonal 1 is odd, so its tiles are numbered column by column
-    assert rect_encode_parity(2, 3, CONST22, by="diag") == 6
-    assert rect_encode_parity(1, 4, CONST22, by="diag") == 7
+    assert rect_encode(2, 3, CONST22, "parity-diag") == 6
+    assert rect_encode(1, 4, CONST22, "parity") == 7
 
 
 def test_parity_sources_differ():
     # tile (0, 2) sits on an even tile diagonal but carries an odd tile
     # number, so the two parity sources number its interior differently
     spec = CONST22
-    assert rect_encode_parity(1, 6, spec, by="diag") != rect_encode_parity(1, 6, spec, by="tile")
+    assert rect_encode(1, 6, spec, "parity-diag") != rect_encode(1, 6, spec, "parity-tile")
     for by in ("diag", "tile"):
         report = oracle.verify_scheme(tiling_scheme("const:2x2", f"parity-{by}"), 500)
         assert report.ok, str(report)
 
 
 def test_const_fast_path_examples():
-    assert rect_encode_const(1, 4, 3, 2) == 7
+    assert rect_encode(1, 4, CONST32) == 7
+    unit = TilingSpec(const_rule(1), const_rule(1))
     for i in range(1, 50):
         for j in range(1, 51 - i):
-            assert rect_encode_const(i, j, 1, 1) == pairing.cantor_encode(i, j)
+            assert rect_encode(i, j, unit) == pairing.cantor_encode(i, j)
     # (3, 3) sits in the fifth tile of the 2x2 cover, so its block is 17..20
-    assert rect_encode_const(3, 3, 2, 2) == 17
+    assert rect_encode(3, 3, CONST22) == 17
 
 
 def test_const_fast_path_agrees_with_general_encode():
@@ -101,8 +106,11 @@ def test_const_fast_path_agrees_with_general_encode():
         spec = TilingSpec(const_rule(l), const_rule(h))
         cells = oracle.traverse(tiling_scheme(f"const:{l}x{h}", "row"), 2_000)
         for n, (i, j) in enumerate(cells, 1):
-            assert rect_encode_const(i, j, l, h) == n
-            assert rect_encode_rowwise(i, j, spec) == n
+            # the textbook position for constant l x h tiles, numbered row-wise
+            R, S = (i - 1) // h, (j - 1) // l
+            textbook = l * h * ((R + S) ** 2 + 3 * R + S) // 2 + l * (i - h * R - S - 1) + j
+            assert textbook == n
+            assert rect_encode(i, j, spec) == n
 
 
 def test_unit_tile_reduction_all_orders():
@@ -110,9 +118,8 @@ def test_unit_tile_reduction_all_orders():
     for i in range(1, 200):
         for j in range(1, 201 - i):
             expected = pairing.cantor_encode(i, j)
-            assert rect_encode_rowwise(i, j, unit) == expected
-            assert rect_encode_colwise(i, j, unit) == expected
-            assert rect_encode_parity(i, j, unit, by="diag") == expected
+            for order in tiling.ORDERS:
+                assert rect_encode(i, j, unit, order) == expected
 
 
 def test_tile_interior_contiguity():
@@ -125,7 +132,7 @@ def test_tile_interior_contiguity():
         for n in range(1, count + 1):
             i, j = rect_decode(n, spec, "row")
             by_tile.setdefault(locate_tile(i, j, spec), []).append(
-                rect_encode_rowwise(i, j, spec)
+                rect_encode(i, j, spec)
             )
         assert len(by_tile) == (diagonals + 1) * (diagonals + 2) // 2
         for (R, S), values in by_tile.items():
@@ -148,6 +155,7 @@ def test_decode_roundtrip_all_orders():
             for n in range(1, 800):
                 i, j = rect_decode(n, spec, order)
                 assert schemes.encode(scheme, i, j) == n, (spec_text, order, n)
+                assert rect_encode(i, j, spec, order) == n
 
 
 @settings(max_examples=120, deadline=None)
@@ -160,12 +168,7 @@ def test_decode_roundtrip_random_const(l, h, n):
     spec = TilingSpec(const_rule(l), const_rule(h))
     for order in tiling.ORDERS:
         i, j = rect_decode(n, spec, order)
-        if order == "row":
-            assert rect_encode_rowwise(i, j, spec) == n
-        elif order == "col":
-            assert rect_encode_colwise(i, j, spec) == n
-        else:
-            assert rect_encode_parity(i, j, spec, by=order.removeprefix("parity-")) == n
+        assert rect_encode(i, j, spec, order) == n
 
 
 def test_spec_text_roundtrip():
@@ -180,6 +183,116 @@ def test_bad_specs():
         with pytest.raises(ValueError):
             parse_tiling_spec(text)
     with pytest.raises(ValueError):
-        rect_encode_const(1, 1, 0, 2)
+        rect_encode(1, 1, TilingSpec(const_rule(0), const_rule(2)))
+    with pytest.raises(ValueError):
+        rect_encode(1, 1, CONST32, "diagonal")
     with pytest.raises(ValueError):
         tiling.canonical_order("diagonal")
+
+
+def _affine_rule(kind, a, b):
+    return const_rule(a) if kind == "const" else ramp_rule(a, b)
+
+
+_affine_rules = st.builds(
+    _affine_rule, st.sampled_from(("const", "ramp")), st.integers(1, 6), st.integers(0, 4)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_affine_rules, _affine_rules, st.integers(1, 12), st.data())
+def test_closed_forms_match_list_sums(lengths, heights, sides, data):
+    # a list spec holding the first ``sides`` sides of a const or ramp spec
+    # numbers the same cells the same way within its reach; its sums are
+    # explicit, so it is the reference for the polynomials, as is a spec
+    # that mixes one list with one const or ramp rule
+    affine = TilingSpec(lengths, heights)
+    listed = TilingSpec(
+        list_rule(affine.length(m) for m in range(1, sides + 1)),
+        list_rule(affine.height(m) for m in range(1, sides + 1)),
+    )
+    mixed = TilingSpec(lengths, listed.heights)
+    for m in range(sides + 1):
+        assert affine.lsum(m) == listed.lsum(m) == sum(lengths.side(k) for k in range(1, m + 1))
+        assert affine.hsum(m) == listed.hsum(m)
+    for d in range(sides):
+        assert affine.diag_cells(d) == listed.diag_cells(d)
+    for x in range(1, listed.lsum(sides) + 1):
+        assert lengths.split(x) == listed.lengths.split(x)
+    for x in range(1, listed.hsum(sides) + 1):
+        assert heights.split(x) == listed.heights.split(x)
+    reach = listed.diag_cells(sides - 1)
+    positions = data.draw(st.lists(st.integers(1, reach), min_size=1, max_size=40)) + [reach]
+    for order in tiling.ORDERS:
+        for n in positions:
+            cell = rect_decode(n, listed, order)
+            for spec in (affine, mixed):
+                assert rect_decode(n, spec, order) == cell, (spec, order, n)
+            for spec in (affine, listed, mixed):
+                assert rect_encode(*cell, spec, order) == n
+    for spec in (listed, mixed):
+        with pytest.raises(SpecExhaustedError):
+            rect_decode(reach + 1, spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_affine_rules, _affine_rules, st.sampled_from(tiling.ORDERS),
+       st.integers(1, 10**30), st.integers(1, 10**15), st.integers(1, 10**15))
+def test_roundtrip_far_out(lengths, heights, order, n, i, j):
+    spec = TilingSpec(lengths, heights)
+    ci, cj = rect_decode(n, spec, order)
+    assert rect_encode(ci, cj, spec, order) == n
+    R, S = locate_tile(ci, cj, spec)
+    assert spec.hsum(R) < ci <= spec.hsum(R + 1)
+    assert spec.lsum(S) < cj <= spec.lsum(S + 1)
+    assert rect_decode(rect_encode(i, j, spec, order), spec, order) == (i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("const:3x2", "const:1x4", "ramp:1+1x1+1", "ramp:2+3x1+0", LIST15)),
+       st.sampled_from(tiling.ORDERS), st.integers(1, 2_100), st.integers(1, 60))
+def test_walk_from_any_start_matches_decode_and_oracle(text, order, start, length):
+    # the list spec covers 2229 positions, so every walk here stays inside it
+    scheme = tiling_scheme(text, order)
+    cells = list(islice(schemes.walk(scheme, start), length))
+    assert cells == [schemes.decode(scheme, n) for n in range(start, start + length)]
+    assert cells == oracle.traverse(scheme, start + length - 1)[start - 1:]
+
+
+def _tiling_calls(ramp, listed):
+    out = [ramp.lsum(20_000), ramp.hsum(20_000), ramp.diag_cells(300),
+           listed.lsum(15), listed.diag_cells(14)]
+    for spec, top in ((ramp, 10**6), (listed, 2_229)):
+        for order in tiling.ORDERS:
+            for n in range(1, top, top // 10):
+                i, j = rect_decode(n, spec, order)
+                out.append((i, j, rect_encode(i, j, spec, order)))
+            out.append(rect_encode(9, 12, spec, order))
+    return out
+
+
+def test_threads_share_one_spec():
+    # four threads start together on one fresh spec per trial and must see
+    # exactly what one thread sees; a spec that grows memos on use fails this
+    expected = _tiling_calls(parse_tiling_spec("ramp:1+1x1+1"), parse_tiling_spec(LIST15))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            ramp, listed = parse_tiling_spec("ramp:1+1x1+1"), parse_tiling_spec(LIST15)
+            gate = threading.Barrier(4, timeout=60)
+            results = [None] * 4
+
+            def run(k):
+                gate.wait()
+                results[k] = _tiling_calls(ramp, listed)
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
