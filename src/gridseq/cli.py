@@ -51,16 +51,20 @@ _FAMILY_OPTIONS = {
 def _add_scheme_flags(sub):
     sub.add_argument("--scheme", required=True, help="scheme name, e.g. cantor, angle, tiling")
     sub.add_argument("--spec", help="tiling spec, e.g. const:3x2, list:1,2x2,1, ramp:1+1x1+1")
-    sub.add_argument("--order", default="row", help=f"tiling inner order: {', '.join(ORDERS)}")
+    sub.add_argument("--order", help=f"tiling inner order: {', '.join(ORDERS)} (default row)")
 
 
 def _scheme_from_args(parser, args) -> Scheme:
+    if args.scheme != "tiling":
+        for flag in ("spec", "order"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} is read only with --scheme tiling")
+    elif not args.spec:
+        parser.error("--spec is required with --scheme tiling")
     try:
-        if args.scheme == "tiling" or args.scheme.startswith("tiling:"):
-            if args.scheme == "tiling":
-                if not args.spec:
-                    parser.error("--spec is required with --scheme tiling")
-                return tiling_scheme(args.spec, args.order)
+        if args.scheme == "tiling":
+            return tiling_scheme(args.spec, "row" if args.order is None else args.order)
+        if args.scheme.startswith("tiling:"):
             return parse_scheme(args.scheme)
         if args.scheme not in SIMPLE_KINDS:
             parser.error(f"--scheme: unknown scheme {args.scheme!r}")
@@ -121,6 +125,15 @@ def _family_flags() -> argparse.ArgumentParser:
     return p
 
 
+def _alignment(text: str) -> str | int:
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridseq",
@@ -151,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="compare a generated prefix against OEIS reference data")
     p.add_argument("--anum", required=True, help="A-number, e.g. A002260")
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--alignment", default="auto", help="'auto' or the b-file index of term 1")
+    p.add_argument("--alignment", default="auto", type=_alignment,
+                   help="'auto' or the b-file index of term 1")
     p.add_argument("--online", action="store_true",
                    help="fetch missing b-files from oeis.org (cached on disk)")
     return parser
@@ -256,8 +270,7 @@ def cmd_oeis_check(parser, args) -> int:
     except (oeis.NetworkError, oeis.CacheWriteError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_NETWORK
-    alignment = args.alignment if args.alignment == "auto" else int(args.alignment)
-    report = oeis.compare_prefix(terms, records, args.count, alignment, anum=anum)
+    report = oeis.compare_prefix(terms, records, args.count, args.alignment, anum=anum)
     print(report)
     if report.status == "match":
         return EXIT_OK

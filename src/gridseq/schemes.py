@@ -76,6 +76,8 @@ class Scheme:
             object.__setattr__(self, "order", tiling.canonical_order(self.order))
         elif self.kind not in SIMPLE_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
+        elif self.tiling is not None or self.order != "row":
+            raise ValueError(f"scheme {self.kind!r} takes no tiling and no inner order")
 
     def text(self) -> str:
         if self.kind == "tiling":

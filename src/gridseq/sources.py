@@ -7,11 +7,15 @@ arbitrary precision; what is bounded instead is the work a source will
 agree to do, via a bit budget on power values and an index cap on the
 prime sieve.
 
-The prime and totient caches are shared, append-only memos.  They are not
-locked: warm them from a single thread, or accept that concurrent first
-hits may duplicate work.
+The primes come from one shared table that is only ever replaced whole, by
+a larger sieve; the totient divides by that table and then by odd numbers,
+so its memory does not grow with its argument (its time still grows as the
+square root of the largest cofactor).  The totient memo only gains
+entries.  Neither is locked, and concurrent first hits at most duplicate
+work.
 """
 
+from itertools import chain, compress, count
 from math import isqrt, log
 from pathlib import Path
 
@@ -65,59 +69,45 @@ class SequenceSource:
         return f"SequenceSource({self.name!r})"
 
 
-class _PrimeCache:
-    """Sieve of Eratosthenes regrown with a doubling bound."""
-
-    def __init__(self):
-        self._primes = [2, 3, 5, 7, 11, 13]
-        self._sieved_to = 13
-
-    def _resieve(self, bound: int) -> None:
-        sieve = bytearray([1]) * (bound + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, isqrt(bound) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        self._primes = [k for k in range(2, bound + 1) if sieve[k]]
-        self._sieved_to = bound
-
-    def _grow_count(self, n: int) -> None:
-        while len(self._primes) < n:
-            if n >= 6:
-                # p_n < n (ln n + ln ln n) for n >= 6
-                bound = int(n * (log(n) + log(log(n)))) + 10
-            else:
-                bound = 15
-            self._resieve(max(bound, 2 * self._sieved_to))
-
-    def prime(self, n: int) -> int:
-        if n < 1:
-            raise ValueError(f"prime index must be >= 1, got {n}")
-        if n > PRIME_INDEX_CAP:
-            raise BudgetExceededError(
-                f"prime index {brief_int(n)} exceeds the sieve cap {PRIME_INDEX_CAP}",
-                index=n,
-            )
-        self._grow_count(n)
-        return self._primes[n - 1]
-
-    def primes_through(self, bound: int) -> list[int]:
-        if bound > self._sieved_to:
-            self._resieve(max(bound, 2 * self._sieved_to))
-        return self._primes
-
-
-_prime_cache = _PrimeCache()
+# (sieved bound, every prime up to it): nth_prime replaces the pair whole,
+# so a reader sees one consistent table however threads interleave.  Two
+# threads that sieve at once may leave the smaller table; it still holds
+# what its caller asked for, and a later call regrows it.
+_prime_table = (13, (2, 3, 5, 7, 11, 13))
 _phi_memo: dict[int, int] = {}
 
 
 def nth_prime(n: int) -> int:
     """The n-th prime (2 is the first)."""
-    return _prime_cache.prime(n)
+    global _prime_table
+    if n < 1:
+        raise ValueError(f"prime index must be >= 1, got {n}")
+    if n > PRIME_INDEX_CAP:
+        raise BudgetExceededError(
+            f"prime index {brief_int(n)} exceeds the sieve cap {PRIME_INDEX_CAP}",
+            index=n,
+        )
+    bound, table = _prime_table
+    if n > len(table):
+        # the table holds six primes, so n >= 7, and p_n < n (ln n + ln ln n)
+        # for n >= 6: one sieve to that bound holds the n-th prime
+        bound = max(int(n * (log(n) + log(log(n)))) + 10, 2 * bound)
+        sieve = bytearray([1]) * (bound + 1)
+        sieve[0] = sieve[1] = 0
+        for p in range(2, isqrt(bound) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+        table = tuple(compress(range(bound + 1), sieve))
+        _prime_table = bound, table
+    return table[n - 1]
 
 
 def totient(n: int) -> int:
-    """Euler's totient, by trial-division factorisation, memoised."""
+    """Euler's totient, by trial division, memoised.
+
+    Divides by the primes already sieved, then by odd numbers; a composite
+    divisor never divides what is left, so the table is read, never grown.
+    """
     if n < 1:
         raise ValueError(f"totient wants a positive argument, got {n}")
     cached = _phi_memo.get(n)
@@ -125,7 +115,8 @@ def totient(n: int) -> int:
         return cached
     result = n
     m = n
-    for p in _prime_cache.primes_through(isqrt(n) + 1):
+    table = _prime_table[1]
+    for p in chain(table, count(table[-1] + 2, 2)):
         if p * p > m:
             break
         if m % p == 0:

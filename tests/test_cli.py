@@ -37,6 +37,11 @@ def test_encode_tiling(capsys):
     assert (code, out) == (0, "7\n")
     code, out, _ = run(capsys, "encode", "--scheme", "tiling:const:3x2:row", "--i", "2", "--j", "3")
     assert (code, out) == (0, "6\n")
+    for order, position in (("row", "4\n"), ("col", "2\n"), (None, "4\n")):
+        flags = ("--order", order) if order else ()
+        code, out, _ = run(capsys, "encode", "--scheme", "tiling", "--spec", "const:3x2", *flags,
+                           "--i", "2", "--j", "1")
+        assert (code, out) == (0, position), order
 
 
 def test_decode(capsys):
@@ -187,6 +192,23 @@ def test_oeis_check_match(capsys):
     assert code == 0
 
 
+def test_oeis_check_alignment(capsys, monkeypatch):
+    argv = ("oeis-check", "--family", "reluctant", "--alpha", "id", "--anum", "A002260",
+            "--count", "50", "--alignment")
+    for alignment in ("auto", "1"):
+        code, out, _ = run(capsys, *argv, alignment)
+        assert code == 0 and "match" in out, alignment
+
+    # a bad value is refused while parsing, before any term is made
+    def explode(*args, **kwargs):
+        raise AssertionError("terms generated")
+
+    monkeypatch.setattr(cli.transforms, "iter_terms", explode)
+    with pytest.raises(SystemExit) as err:
+        cli.main([*argv, "x"])
+    assert err.value.code == 2 and "--alignment:" in capsys.readouterr().err
+
+
 def test_oeis_check_mismatch_exit1(capsys):
     # the reversed-rows triangle is a different sequence
     code, out, _ = run(capsys, "oeis-check", "--family", "reluctant", "--alpha", "id",
@@ -241,6 +263,16 @@ def test_usage_errors_exit2(capsys):
     assert run_usage_error(capsys, "encode", "--scheme", "moore", "--i", "1", "--j", "1") == 2
     assert run_usage_error(capsys, "encode", "--scheme", "cantor", "--i", "0", "--j", "1") == 2
     assert run_usage_error(capsys, "encode", "--scheme", "tiling", "--i", "1", "--j", "1") == 2
+    # --spec and --order are read only with the bare --scheme tiling, never dropped
+    for argv, flag in ((("encode", "--scheme", "tiling:const:3x2:row", "--order", "col",
+                         "--i", "2", "--j", "1"), "--order"),
+                       (("decode", "--scheme", "cantor", "--spec", "const:3x2", "--n", "5"), "--spec"),
+                       (("decode", "--scheme", "tiling:const:3x2:col", "--spec", "const:3x2",
+                         "--n", "5"), "--spec"),
+                       (("verify", "--scheme", "angle", "--order", "row", "--n-max", "5"), "--order")):
+        with pytest.raises(SystemExit) as err:
+            cli.main(list(argv))
+        assert err.value.code == 2 and flag in capsys.readouterr().err, argv
     assert run_usage_error(capsys, "generate", "--family", "shifted-columns", "--count", "3") == 2
     assert run_usage_error(capsys, "generate", "--family", "warp", "--count", "3") == 2
     assert run_usage_error(capsys, "generate", "--family", "braid", "--sources", "id", "--count", "3") == 2

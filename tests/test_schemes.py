@@ -38,6 +38,13 @@ def test_parse_errors():
         Scheme("tiling")
     with pytest.raises(ValueError):
         Scheme("hilbert")
+    # the eight simple kinds take no tiling fields, rather than dropping them
+    spec = parse_scheme("tiling:const:3x2:row").tiling
+    for kwargs in (dict(order="col"), dict(order="bogus"), dict(tiling=spec),
+                   dict(tiling=spec, order="row")):
+        with pytest.raises(ValueError):
+            Scheme("cantor", **kwargs)
+    assert Scheme("angle", order="row") == Scheme("angle")
 
 
 def test_first_index():

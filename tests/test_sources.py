@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from gridseq import sources
 from gridseq.sources import (
@@ -37,11 +40,29 @@ def test_prime_cap(monkeypatch):
     assert nth_prime(10) == 29
 
 
-def test_totient_against_sympy():
+def test_totient_against_sympy(monkeypatch):
     src = euler_phi()
     assert [totient(n) for n in (1, 2, 10, 97, 360)] == [1, 1, 4, 96, 96]
     for n in range(1, 500):
         assert src.value(n) == sympy.totient(n)
+
+    monkeypatch.setattr(sources, "_phi_memo", {})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**10))
+    def matches(n):
+        assert totient(n) == sympy.totient(n)
+
+    matches()
+    assert totient(10**12 + 39) == 10**12 + 38  # a prime: divides past the sieved primes
+    # one divisor finishes it, so it allocates nothing that grows with n
+    tracemalloc.start()
+    try:
+        assert totient(2**50) == 2**49
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_power_base_and_geometric():
