@@ -139,29 +139,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gridseq",
         description="Grid enumeration schemes and the sequence transformations built on them.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("encode", help="position of a grid cell under a scheme")
+    def command(name, **keywords) -> argparse.ArgumentParser:
+        # the subcommand's parser reports the usage errors found after parsing
+        sub = subparsers.add_parser(name, **keywords)
+        sub.set_defaults(command_parser=sub)
+        return sub
+
+    p = command("encode", help="position of a grid cell under a scheme")
     _add_scheme_flags(p)
     p.add_argument("--i", type=int, required=True, help="row (0-based for cantor0)")
     p.add_argument("--j", type=int, required=True, help="column (0-based for cantor0)")
 
-    p = commands.add_parser("decode", help="grid cell at a position under a scheme")
+    p = command("decode", help="grid cell at a position under a scheme")
     _add_scheme_flags(p)
     p.add_argument("--n", type=int, required=True)
 
     family_flags = _family_flags()
-    p = commands.add_parser("generate", parents=[family_flags],
-                            help="first terms of a transformed sequence")
+    p = command("generate", parents=[family_flags], help="first terms of a transformed sequence")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", default="plain", choices=("plain", "json"))
 
-    p = commands.add_parser("verify", help="check a scheme's formulas against the geometric walk")
+    p = command("verify", help="check a scheme's formulas against the geometric walk")
     _add_scheme_flags(p)
     p.add_argument("--n-max", type=int, required=True)
 
-    p = commands.add_parser("oeis-check", parents=[family_flags],
-                            help="compare a generated prefix against OEIS reference data")
+    p = command("oeis-check", parents=[family_flags],
+                help="compare a generated prefix against OEIS reference data")
     p.add_argument("--anum", required=True, help="A-number, e.g. A002260")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--alignment", default="auto", type=_alignment,
@@ -289,8 +294,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.command_parser
     try:
         return _COMMANDS[args.command](parser, args)
     except (ValueError, SpecExhaustedError) as exc:

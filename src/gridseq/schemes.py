@@ -11,7 +11,7 @@ position.
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, repeat
+from itertools import chain, count, repeat, starmap
 
 from . import pairing, tiling
 from .pairing import Cell
@@ -47,6 +47,8 @@ def _diagonal_size(t: int) -> int:
 def _shell_size(s: int) -> int:
     return 2 * s - 1
 
+
+RUN_CAP = 4096  # the most cells in one run of a walk
 
 # kind -> (position, cell, size): position(n) = (t, p) puts n at the p-th
 # cell of block t, an anti-diagonal or a square shell; cell(t, p) is that
@@ -141,17 +143,36 @@ def walk(scheme: Scheme, start: int | None = None) -> Iterator[Cell]:
     decode position by position.  A bad ``start`` raises here, not on the
     first ``next``.
     """
-    if start is None:
-        start = first_index(scheme)
     if scheme.kind == "tiling":
+        start = first_index(scheme) if start is None else start
         if start < 1:
             raise ValueError(f"position must be >= 1, got {start}")
         return map(partial(decode, scheme), count(start))
-    position, cell, size = _READERS[scheme.kind]
-    return _blocks(cell, size, *position(start))
+    return chain.from_iterable(starmap(partial(run_cells, scheme), runs(scheme, start)))
 
 
-def _blocks(cell, size, t: int, p: int) -> Iterator[Cell]:
+def runs(scheme: Scheme, start: int | None = None) -> Iterator[tuple[int, int, int]]:
+    """The walk of a diagonal or shell kind as runs (t, p, q): cells p..q of block t.
+
+    The first run is one cell and each next run at most twice as long, up
+    to ``RUN_CAP`` cells, so that a reader that stops early has read little
+    past where it stopped.  A bad ``start`` raises here.
+    """
+    position, _, size = _READERS[scheme.kind]
+    return _runs(size, *position(first_index(scheme) if start is None else start))
+
+
+def _runs(size, t: int, p: int) -> Iterator[tuple[int, int, int]]:
+    width = 1
     while True:
-        yield from map(cell, repeat(t), range(p, size(t) + 1))
+        end = size(t)
+        while p <= end:
+            q = min(end, p + width - 1)
+            yield t, p, q
+            p, width = q + 1, min(2 * width, RUN_CAP)
         t, p = t + 1, 1
+
+
+def run_cells(scheme: Scheme, t: int, p: int, q: int) -> Iterator[Cell]:
+    """Cells p..q of the diagonal or shell t, in the scheme's order."""
+    return map(_READERS[scheme.kind][1], repeat(t), range(p, q + 1))

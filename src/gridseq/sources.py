@@ -7,14 +7,20 @@ arbitrary precision; what is bounded instead is the work a source will
 agree to do, via a bit budget on power values and an index cap on the
 prime sieve.
 
+Every source also reads a whole run of indices at once, :meth:`SequenceSource.values`:
+the naturals return the run itself, the primes and the lists slice their
+tuple or list, and the other kinds map their value function over it.
+
 The primes come from one shared table that is only ever replaced whole, by
 a larger sieve; the totient divides by that table and then by odd numbers,
-so its memory does not grow with its argument (its time still grows as the
-square root of the largest cofactor).  The totient memo only gains
-entries.  Neither is locked, and concurrent first hits at most duplicate
-work.
+so its memory does not grow with its argument.  Past the table, a
+deterministic Miller-Rabin test ends the division as soon as what is left
+is prime; its time still grows as the square root of the second-largest
+prime factor.  The totient memo only gains entries.  Neither is locked, and
+concurrent first hits at most duplicate work.
 """
 
+from collections.abc import Sequence
 from itertools import chain, compress, count
 from math import isqrt, log
 from pathlib import Path
@@ -53,14 +59,29 @@ class NonPositiveTermError(SourceError):
 class SequenceSource:
     """A total map from positive index to integer value."""
 
-    def __init__(self, name: str, fn):
+    def __init__(self, name: str, fn, run=None):
         self.name = name
         self._fn = fn
+        self._run = run  # run(r): the terms at the indices of r, all >= 1
 
     def value(self, n: int) -> int:
         if n < 1:
             raise ValueError(f"sequence index must be >= 1, got {n}")
         return self._fn(n)
+
+    def values(self, r: range) -> Sequence[int]:
+        """The terms at the indices of r, in r's order, in one read.
+
+        Raises what :meth:`value` raises for one of the indices, though not
+        necessarily for the first of them that fails.
+        """
+        if not r:
+            return []
+        if min(r[0], r[-1]) < 1:
+            raise ValueError(f"sequence index must be >= 1, got {min(r[0], r[-1])}")
+        if self._run is None:
+            return list(map(self._fn, r))
+        return self._run(r)
 
     def prefix(self, count: int) -> list[int]:
         return [self.value(n) for n in range(1, count + 1)]
@@ -77,11 +98,28 @@ _prime_table = (13, (2, 3, 5, 7, 11, 13))
 _phi_memo: dict[int, int] = {}
 
 
+def _slice(terms: Sequence[int], r: range) -> Sequence[int]:
+    """The terms at the 1-based indices of r, which all lie within ``terms``."""
+    stop = r.stop - 1
+    return terms[r.start - 1:stop if stop >= 0 else None:r.step]
+
+
 def nth_prime(n: int) -> int:
     """The n-th prime (2 is the first)."""
-    global _prime_table
     if n < 1:
         raise ValueError(f"prime index must be >= 1, got {n}")
+    return _primes_through(n)[n - 1]
+
+
+def _prime_run(r: range) -> Sequence[int]:
+    # slice the table that growth returned: the global may since have been
+    # replaced by a smaller one that a concurrent call sieved
+    return _slice(_primes_through(max(r[0], r[-1])), r)
+
+
+def _primes_through(n: int) -> tuple[int, ...]:
+    """A prime table that holds at least the first n primes."""
+    global _prime_table
     if n > PRIME_INDEX_CAP:
         raise BudgetExceededError(
             f"prime index {brief_int(n)} exceeds the sieve cap {PRIME_INDEX_CAP}",
@@ -99,7 +137,34 @@ def nth_prime(n: int) -> int:
                 sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
         table = tuple(compress(range(bound + 1), sieve))
         _prime_table = bound, table
-    return table[n - 1]
+    return table
+
+
+# Miller-Rabin with the first 13 primes as bases decides every n below
+# _MR_LIMIT (Sorenson and Webster 2015).  Below _MR_FLOOR, dividing by the
+# at most 512 odd numbers up to the root costs about as much as the test.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_FLOOR = 1 << 20
+
+
+def _proved_prime(m: int) -> bool:
+    """True when m is in the deterministic range and passes every base; else False."""
+    if not _MR_FLOOR <= m < _MR_LIMIT or m % 2 == 0:
+        return False
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2**s with d odd
+    d = (m - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def totient(n: int) -> int:
@@ -107,6 +172,9 @@ def totient(n: int) -> int:
 
     Divides by the primes already sieved, then by odd numbers; a composite
     divisor never divides what is left, so the table is read, never grown.
+    Past the table, the odd divisions stop once what is left is proved
+    prime, which is tested again after each factor found.  Above the range
+    of that test the division runs to the root, so every value is exact.
     """
     if n < 1:
         raise ValueError(f"totient wants a positive argument, got {n}")
@@ -116,13 +184,18 @@ def totient(n: int) -> int:
     result = n
     m = n
     table = _prime_table[1]
-    for p in chain(table, count(table[-1] + 2, 2)):
-        if p * p > m:
+    last = table[-1]
+    proved = False
+    for p in chain(table, count(last + 2, 2)):
+        if proved or p * p > m:
             break
         if m % p == 0:
             result -= result // p
             while m % p == 0:
                 m //= p
+            proved = p >= last and _proved_prime(m)
+        elif p == last:
+            proved = _proved_prime(m)
     if m > 1:
         result -= result // m
     _phi_memo[n] = result
@@ -130,11 +203,11 @@ def totient(n: int) -> int:
 
 
 def identity() -> SequenceSource:
-    return SequenceSource("id", lambda n: n)
+    return SequenceSource("id", lambda n: n, run=lambda r: r)
 
 
 def primes() -> SequenceSource:
-    return SequenceSource("primes", nth_prime)
+    return SequenceSource("primes", nth_prime, run=_prime_run)
 
 
 def euler_phi() -> SequenceSource:
@@ -176,7 +249,11 @@ def from_list(values) -> SequenceSource:
             )
         return values[n - 1]
 
-    return SequenceSource(f"list:{','.join(map(str, values))}", fn)
+    def run(r):
+        fn(max(r[0], r[-1]))  # raises past the last term
+        return _slice(values, r)
+
+    return SequenceSource(f"list:{','.join(map(str, values))}", fn, run)
 
 
 def from_file(path) -> SequenceSource:

@@ -5,10 +5,17 @@ by an array rule, and reads the array back as a single sequence omega
 along an enumeration, its reader: the anti-diagonals (``cantor``) for
 most families, the square shells (``angle``) for the three ``-angle``
 families, and the outer scheme for ``superpose``.  A row of
-:data:`FAMILY_TABLE` holds the rule and the reader.  :func:`iter_terms`
-applies the rule along :func:`schemes.walk`, which decodes its first
-position and then steps from cell to cell; :func:`term` is the first term
-of that walk.
+:data:`FAMILY_TABLE` holds the rule and the reader, and most rows a block
+rule too.  Along one anti-diagonal or shell a family's source index is
+affine in the cell's place, or two affine pieces split at the middle cell,
+so a block rule reads a run of cells as one batched
+:meth:`~gridseq.sources.SequenceSource.values` call per piece.
+:func:`iter_terms` reads the reader's walk run by run
+(:func:`schemes.runs`) through the block rule, and redoes a run cell by
+cell through the array rule when a batched read fails, so a failure names
+the same cell and index as the array rule does.  Rows with no block rule
+apply the array rule along :func:`schemes.walk`.  :func:`term` is the
+first term of :func:`iter_terms`.
 
 The ``*_index`` functions and the functions named after the families are
 the paper's closed forms, position straight to source index.  They stay
@@ -16,11 +23,12 @@ as the explicit formulas, and the tests check the rules against them.
 Index arithmetic is exact throughout.
 """
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice, starmap
+from itertools import chain, islice, starmap
 from math import isqrt
+from operator import mul
 from typing import NamedTuple
 
 from . import schemes as _schemes
@@ -405,6 +413,175 @@ def _superpose_rule(spec, sources):
     return lambda i, j: value(_schemes.encode(inner, i, j))
 
 
+# -- block rules ----------------------------------------------------------------------
+# block(spec, sources) -> read(t, p0, p1), the values of cells p0..p1 of the
+# reader's diagonal or shell t, or None when the family's parameters leave
+# it on the array rule.  Anti-diagonal t holds cells p = 1..t+1 at
+# (i, j) = (p, t+2-p); shell s holds q = 1..s at (q, s), then q = s+1..2s-1
+# at (s, 2s-q).  A read must not return where the array rule raises; it may
+# raise where the array rule does not, and the run is then redone cell by
+# cell.
+
+def _read(source, first: int, step: int, n: int) -> Sequence[int]:
+    """The source's terms at the n indices first, first + step, ...: one batched read."""
+    if step:
+        return source.values(range(first, first + step * n, step))
+    return [source.values(range(first, first + 1))[0]] * n
+
+
+def _affine(pieces):
+    """A block rule over one source whose index is a + b*p on each piece (lo, hi, a, b) of block t."""
+    def block(spec, sources):
+        source, k = sources[0], spec.k
+
+        def read(t, p0, p1):
+            parts = [_read(source, a + b * max(lo, p0), b, min(hi, p1) - max(lo, p0) + 1)
+                     for lo, hi, a, b in pieces(t, k) if max(lo, p0) <= min(hi, p1)]
+            return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+        return read
+    return block
+
+
+# the index pieces of each one-source family: (lo, hi, a, b), index a + b*p
+# for cells lo <= p <= hi; max and abs split at the middle cell m
+def _reluctant_pieces(t, k):
+    return ((1, t + 1, 0, 1),)
+
+
+def _reverse_reluctant_pieces(t, k):
+    return ((1, t + 1, t + 2, -1),)
+
+
+def _shifted_pieces(t, k):
+    return ((1, t + 1, k * (t + 1), 1 - k),)
+
+
+def _max_shift_pieces(t, k):
+    m = (t + 1) // 2
+    return (1, m, k * (t + 1), 1 - k), (m + 1, t + 1, t + 2 - k, k - 1)
+
+
+def _segment_shift_pieces(t, k):
+    m = (t + 1) // 2
+    return (1, m, t + 1 + k, -2), (m + 1, t + 1, -t - 1, 2)
+
+
+def _shifted_angle_pieces(s, k):
+    return (1, s, k * (s - 1), 1), (s + 1, 2 * s - 1, s + k * (2 * s - 1), -k)
+
+
+def _max_shift_angle_pieces(s, k):
+    return (1, s, k * (s - 1), 1), (s + 1, 2 * s - 1, k * (s - 1) + 2 * s, -1)
+
+
+def _segment_shift_angle_pieces(s, k):
+    return (1, s - 1, s + k - 1, -1), (s, 2 * s - 1, 1 - s, 1)
+
+
+def _double_reluctant_block(spec, sources):
+    # cell (i, j) holds reluctant(alpha) at i: the rows of a prefix of the
+    # reluctant triangle, grown a row at a time, each row one read of 1..u;
+    # a read that does not follow on from the prefix, or ends past RUN_CAP,
+    # walks reluctant(alpha) from p0 instead
+    alpha, prefix, rows = sources[0], [], 0
+
+    def read(t, p0, p1):
+        nonlocal rows
+        if p1 > _schemes.RUN_CAP or p0 > len(prefix) + 1:
+            return list(islice(iter_terms(TransformSpec("reluctant"), alpha, p0), p1 - p0 + 1))
+        while len(prefix) < p1:
+            prefix.extend(alpha.values(range(1, rows + 2)))
+            rows += 1
+        return prefix[p0 - 1:p1]
+    return read
+
+
+def _eta_heads(depth: int) -> Callable:
+    """heads(p0, p1): eta(depth, p) for p = p0..p1.
+
+    Level e keeps a prefix of eta(e) made of whole anti-diagonals; diagonal
+    s of level e concatenates the first s + 1 terms of level e - 1 with
+    s + 1, s, ..., 1.  A read grows the levels from the bottom up, so
+    nothing recurses however deep the tuples.  A read that does not follow
+    on from the prefix, or ends past ``RUN_CAP`` terms, takes the closed
+    form.
+    """
+    prefixes = [None, range(1, _schemes.RUN_CAP + 2)] + [[] for _ in range(depth - 1)]
+    rows = [0] * (depth + 1)
+
+    def grow(e, length):
+        plan = []
+        while e > 1 and len(prefixes[e]) < length:
+            s = rows[e]
+            while triangle(s) < length:
+                s += 1
+            plan.append((e, s))
+            e, length = e - 1, s
+        for e, s in reversed(plan):
+            below = prefixes[e - 1]
+            for row in range(rows[e], s):
+                prefixes[e].extend(map(concat_numbers, below[:row + 1], range(row + 1, 0, -1)))
+            rows[e] = s
+
+    def heads(p0, p1):
+        if p1 > _schemes.RUN_CAP or p0 > len(prefixes[depth]) + 1:
+            return [eta(depth, p) for p in range(p0, p1 + 1)]
+        grow(depth, p1)
+        return prefixes[depth][p0 - 1:p1]
+    return heads
+
+
+def _eta_block(spec, sources):
+    if spec.d == 1:
+        return lambda t, p0, p1: range(triangle(t) + p0, triangle(t) + p1 + 1)
+    heads = _eta_heads(spec.d - 1)
+    return lambda t, p0, p1: list(map(concat_numbers, heads(p0, p1),
+                                      range(t + 2 - p0, t + 1 - p1, -1)))
+
+
+def _pair_block(spec, sources):
+    if spec.combiner == "iterate":
+        return None  # each cell composes beta a different number of times
+    alpha, beta, k = sources[0], sources[1], spec.k
+    combine = {"product": mul, "power-sum": lambda a, b: a ** k + b ** k,
+               "concat": concat_numbers}.get(spec.combiner, spec.combiner)
+    # concat_numbers raises on a non-positive term, and the redo then
+    # raises the array rule's NonPositiveTermError
+    return lambda t, p0, p1: list(map(combine, alpha.values(range(p0, p1 + 1)),
+                                      beta.values(range(t + 2 - p0, t + 1 - p1, -1))))
+
+
+def _rotating(sources, t, p0, p1, a, b) -> list:
+    """For p = p0..p1: sources[(t + 1 - p) % l] at index a + b*p, one strided read per source."""
+    l, n = len(sources), p1 - p0 + 1
+    out = [0] * n
+    for o in range(min(l, n)):
+        p = p0 + o
+        out[o::l] = _read(sources[(t + 1 - p) % l], a + b * p, b * l, len(range(o, n, l)))
+    return out
+
+
+def _multi_replicate_block(spec, sources):
+    return lambda t, p0, p1: _rotating(sources, t, p0, p1, 0, 1)
+
+
+def _braid_block(spec, sources):
+    return lambda t, p0, p1: sources[t % len(sources)].values(range(p0, p1 + 1))
+
+
+def _segment_braid_block(spec, sources):
+    rotating, last = sources[:-1], sources[-1]
+
+    def read(t, p0, p1):
+        m = (t + 1) // 2  # cells 1..m lie above the diagonal i = j and read the last source
+        head = _read(last, t + 2 - 2 * p0, -2, min(m, p1) - p0 + 1) if p0 <= m else []
+        if p1 <= m:
+            return head
+        tail = _rotating(rotating, t, max(p0, m + 1), p1, -t - 1, 2)
+        return [*head, *tail] if head else tail
+    return read
+
+
 # -- the family table and generation ------------------------------------------------------
 
 SEVERAL = -1  # source count of the families that read two or more sequences
@@ -412,13 +589,14 @@ ANGLE = Scheme("angle")
 
 
 class Family(NamedTuple):
-    """One row of the family table: an array rule and the order that reads it."""
+    """One row of the family table: an array rule, the order that reads it, and its block rule."""
 
     sources: int  # input sequences read: 0, 1, 2, or SEVERAL
     reads: tuple[str, ...]  # the TransformSpec fields the rule reads
     rule: Callable  # rule(spec, sources) -> cell(i, j)
     reader: Scheme | None = _schemes.CANTOR  # None: the spec's outer scheme
     k_min: int | None = None  # least shift, for the families whose k must be given
+    block: Callable | None = None  # block(spec, sources) -> read(t, p0, p1) along reader, or None
 
     @property
     def needs_k(self) -> bool:
@@ -427,21 +605,27 @@ class Family(NamedTuple):
 
 
 FAMILY_TABLE = {
-    "reluctant": Family(1, (), _reluctant_rule),
-    "reverse-reluctant": Family(1, (), _reverse_reluctant_rule),
-    "double-reluctant": Family(1, (), _double_reluctant_rule),
+    "reluctant": Family(1, (), _reluctant_rule, block=_affine(_reluctant_pieces)),
+    "reverse-reluctant": Family(1, (), _reverse_reluctant_rule,
+                                block=_affine(_reverse_reluctant_pieces)),
+    "double-reluctant": Family(1, (), _double_reluctant_rule, block=_double_reluctant_block),
     "self-compose": Family(1, ("convention",), _self_compose_rule),
-    "shifted-columns": Family(1, ("k",), _shifted_rule, k_min=0),
-    "max-shift": Family(1, ("k",), _max_shift_rule, k_min=1),
-    "segment-shift": Family(1, ("k",), _segment_shift_rule, k_min=1),
-    "shifted-columns-angle": Family(1, ("k",), _shifted_rule, ANGLE, k_min=0),
-    "max-shift-angle": Family(1, ("k",), _max_shift_rule, ANGLE, k_min=1),
-    "segment-shift-angle": Family(1, ("k",), _segment_shift_rule, ANGLE, k_min=1),
-    "pair": Family(2, ("combiner", "k"), _pair_rule),
-    "eta": Family(0, ("d",), _eta_rule),
-    "multi-replicate": Family(SEVERAL, (), _multi_replicate_rule),
-    "braid": Family(SEVERAL, (), _braid_rule),
-    "segment-braid": Family(SEVERAL, (), _segment_braid_rule),
+    "shifted-columns": Family(1, ("k",), _shifted_rule, k_min=0,
+                              block=_affine(_shifted_pieces)),
+    "max-shift": Family(1, ("k",), _max_shift_rule, k_min=1, block=_affine(_max_shift_pieces)),
+    "segment-shift": Family(1, ("k",), _segment_shift_rule, k_min=1,
+                            block=_affine(_segment_shift_pieces)),
+    "shifted-columns-angle": Family(1, ("k",), _shifted_rule, ANGLE, k_min=0,
+                                    block=_affine(_shifted_angle_pieces)),
+    "max-shift-angle": Family(1, ("k",), _max_shift_rule, ANGLE, k_min=1,
+                              block=_affine(_max_shift_angle_pieces)),
+    "segment-shift-angle": Family(1, ("k",), _segment_shift_rule, ANGLE, k_min=1,
+                                  block=_affine(_segment_shift_angle_pieces)),
+    "pair": Family(2, ("combiner", "k"), _pair_rule, block=_pair_block),
+    "eta": Family(0, ("d",), _eta_rule, block=_eta_block),
+    "multi-replicate": Family(SEVERAL, (), _multi_replicate_rule, block=_multi_replicate_block),
+    "braid": Family(SEVERAL, (), _braid_rule, block=_braid_block),
+    "segment-braid": Family(SEVERAL, (), _segment_braid_rule, block=_segment_braid_block),
     "superpose": Family(1, ("inner", "outer"), _superpose_rule, reader=None),
 }
 FAMILIES = tuple(FAMILY_TABLE)
@@ -492,14 +676,15 @@ def _as_sources(sources) -> list[SequenceSource]:
     return list(sources)
 
 
-def _bind(spec: TransformSpec, sources) -> tuple[Callable, Scheme]:
-    """(cell function, reader) of the spec's family over these sources."""
+def _bind(spec: TransformSpec, sources) -> tuple[Callable, Callable | None, Scheme]:
+    """(cell function, block read or None, reader) of the spec's family over these sources."""
     src = _as_sources(sources)
     row = FAMILY_TABLE[spec.family]
     if len(src) != row.sources and (row.sources != SEVERAL or len(src) < 2):
         need = "at least 2" if row.sources == SEVERAL else row.sources
         raise ValueError(f"family {spec.family} reads {need} input sequences, got {len(src)}")
-    return row.rule(spec, src), row.reader or spec.outer
+    block = row.block(spec, src) if row.block else None
+    return row.rule(spec, src), block, row.reader or spec.outer
 
 
 def term(spec: TransformSpec, sources, n: int) -> int:
@@ -508,13 +693,25 @@ def term(spec: TransformSpec, sources, n: int) -> int:
 
 
 def iter_terms(spec: TransformSpec, sources, start: int = 1) -> Iterator[int]:
-    """omega(start), omega(start + 1), ...: the array rule along the reader's walk.
+    """omega(start), omega(start + 1), ...: the family read along its reader's walk.
 
     The spec, the sources and ``start`` are checked when this is called; the
-    terms are computed as they are read.
+    terms are computed as they are read, a run of at most
+    ``schemes.RUN_CAP`` cells at a time through the block rule, or a cell
+    at a time through the array rule.
     """
-    cell, reader = _bind(spec, sources)
-    return starmap(cell, _schemes.walk(reader, start))
+    cell, block, reader = _bind(spec, sources)
+    if block is None:
+        return starmap(cell, _schemes.walk(reader, start))
+    return chain.from_iterable(_block_runs(cell, block, reader, _schemes.runs(reader, start)))
+
+
+def _block_runs(cell, block, reader, runs) -> Iterator[Sequence[int]]:
+    for t, p, q in runs:
+        try:
+            yield block(t, p, q)
+        except Exception:  # noqa: BLE001 - the array rule raises the exact error
+            yield starmap(cell, _schemes.run_cells(reader, t, p, q))
 
 
 def generate_prefix(spec: TransformSpec, sources, count: int) -> list[int]:

@@ -192,6 +192,16 @@ def test_oeis_check_match(capsys):
     assert code == 0
 
 
+# naturals placed by the inner scheme and read by anti-diagonals: superpose
+# stays on the array rule, read along its outer scheme's walk
+@pytest.mark.parametrize("inner, anum", [("oxplow", "A081344"), ("angle", "A060734"),
+                                         ("boustrophedon", "A056011"), ("edges-in", "A064578")])
+def test_oeis_check_superpose_fixtures(capsys, inner, anum):
+    code, out, err = run(capsys, "oeis-check", "--family", "superpose", "--inner", inner,
+                         "--outer", "cantor", "--alpha", "id", "--anum", anum, "--count", "100")
+    assert (code, out, err) == (0, f"{anum}: match (100 terms, offset 1)\n", "")
+
+
 def test_oeis_check_alignment(capsys, monkeypatch):
     argv = ("oeis-check", "--family", "reluctant", "--alpha", "id", "--anum", "A002260",
             "--count", "50", "--alignment")
@@ -261,6 +271,17 @@ FLAG_VALUES = {"alpha": ["primes"], "beta": ["phi"], "sources": ["id", "phi"], "
 
 def test_usage_errors_exit2(capsys):
     assert run_usage_error(capsys, "encode", "--scheme", "moore", "--i", "1", "--j", "1") == 2
+    # errors found after parsing print the subcommand's usage, as argparse's own do
+    for argv in (("decode", "--scheme", "cantor", "--n", "0"),
+                 ("decode", "--scheme", "tiling", "--n", "5"),
+                 ("generate", "--family", "shifted-columns", "--count", "3"),
+                 ("generate", "--family", "reluctant", "--count", "0"),
+                 ("oeis-check", "--family", "reluctant", "--anum", "bogus"),
+                 ("encode", "--scheme", "tiling:list:1x1:row", "--i", "9", "--j", "9")):
+        with pytest.raises(SystemExit) as err:
+            cli.main(list(argv))
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: gridseq {argv[0]} "), argv
     assert run_usage_error(capsys, "encode", "--scheme", "cantor", "--i", "0", "--j", "1") == 2
     assert run_usage_error(capsys, "encode", "--scheme", "tiling", "--i", "1", "--j", "1") == 2
     # --spec and --order are read only with the bare --scheme tiling, never dropped

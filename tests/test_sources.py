@@ -54,7 +54,7 @@ def test_totient_against_sympy(monkeypatch):
         assert totient(n) == sympy.totient(n)
 
     matches()
-    assert totient(10**12 + 39) == 10**12 + 38  # a prime: divides past the sieved primes
+    assert totient(10**12 + 39) == 10**12 + 38  # a prime: proved prime past the sieved primes
     # one divisor finishes it, so it allocates nothing that grows with n
     tracemalloc.start()
     try:
@@ -128,3 +128,56 @@ def test_index_validation():
         totient(0)
     with pytest.raises(ValueError):
         nth_prime(0)
+
+
+# strong pseudoprimes to the first 4, 5, 6, 8, 9 and 12 prime bases: the
+# 13 bases of the test must still find each composite
+STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051, 318665857834031151167461)
+
+
+def test_miller_rabin_is_deterministic_below_its_limit():
+    for m in STRONG_PSEUDOPRIMES:
+        assert not sources._proved_prime(m), m
+    for m in (sympy.prevprime(sources._MR_LIMIT), sympy.nextprime(10**18), 2**61 - 1, 1_048_583):
+        assert sources._proved_prime(m), m
+    # below the floor, at or above the limit, and even numbers are left to division
+    assert not sources._proved_prime(1_048_573)  # a prime below 2**20
+    assert not sources._proved_prime(sources._MR_LIMIT)
+    assert not sources._proved_prime(2**64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(sources._MR_FLOOR, 10**30))
+def test_miller_rabin_against_sympy(m):
+    assert sources._proved_prime(m) == (m < sources._MR_LIMIT and sympy.isprime(m))
+
+
+def test_totient_to_a_quintillion(monkeypatch):
+    monkeypatch.setattr(sources, "_phi_memo", {})
+
+    # the division runs up to the second-largest prime factor, so the draws
+    # are built from a part below 10^5 and a large prime, which the test ends
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.integers(1, 10**12),
+        st.builds(lambda a, p: a * sympy.nextprime(p), st.integers(1, 10**5), st.integers(1, 10**13)),
+        st.builds(lambda a, p: a * sympy.nextprime(p) ** 2, st.integers(1, 10**3), st.integers(1, 10**4)),
+    ))
+    def matches(n):
+        assert totient(n) == sympy.totient(n)
+
+    matches()
+    assert totient(10**18 + 9) == 10**18 + 8  # a prime
+    assert totient(3 * (10**17 + 3)) == 2 * (10**17 + 2)
+
+
+def test_totient_leaves_small_arguments_to_division(monkeypatch):
+    # the families read phi at small indices; the primality test never runs there
+    def refuse(m):
+        raise AssertionError(f"primality test on {m}")
+
+    monkeypatch.setattr(sources, "_phi_memo", {})
+    monkeypatch.setattr(sources, "_prime_table", (13, (2, 3, 5, 7, 11, 13)))
+    monkeypatch.setattr(sources, "_proved_prime", lambda m: m >= sources._MR_FLOOR and refuse(m))
+    assert [totient(n) for n in range(1, 5000)] == [sympy.totient(n) for n in range(1, 5000)]

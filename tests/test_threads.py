@@ -3,7 +3,9 @@
 Each trial resets the table to its first six primes and empties the memo,
 then four threads start together under a one-microsecond switch interval
 and run the same calls in different orders, so that a thread reads the
-table while another replaces it.  ``cli.main`` is left out: it writes to
+table while another replaces it.  The block rules slice the table in
+batched reads, strided ones among them, so a read that sliced the shared
+table after a smaller one replaced it would come up short or wrong.  ``cli.main`` is left out: it writes to
 ``sys.stdout``, which is shared by the whole process, so the threads'
 outputs could not be told apart.
 """
@@ -12,7 +14,10 @@ import sys
 import threading
 from itertools import islice
 
+import sympy
+
 from gridseq import sources
+from gridseq.schemes import CANTOR, walk
 from gridseq.sources import euler_phi, nth_prime, primes, totient
 from gridseq.transforms import TransformSpec, iter_terms
 
@@ -21,8 +26,8 @@ THREADS = 4
 TRIALS = 10
 
 
-def _prefix(family, srcs, start, count=2000):
-    return lambda: list(islice(iter_terms(TransformSpec(family), srcs, start), count))
+def _prefix(family, srcs, start, count=2000, **fields):
+    return lambda: list(islice(iter_terms(TransformSpec(family, **fields), srcs, start), count))
 
 
 # prime indices far enough apart that each can force a regrowth
@@ -36,6 +41,11 @@ JOBS = [
     _prefix("pair", [euler_phi(), primes()], 10**7),
     _prefix("braid", [primes(), euler_phi(), primes()], 1),
     _prefix("braid", [euler_phi(), primes(), euler_phi()], 3 * 10**4),
+    # batched reads of the prime table: runs, strided runs and interleaved ones
+    _prefix("shifted-columns", [primes()], 1, 300, k=1000),
+    _prefix("shifted-columns", [primes()], 400, 300, k=1000),
+    _prefix("max-shift-angle", [primes()], 1, k=3),
+    _prefix("multi-replicate", [primes(), euler_phi(), primes()], 1),
 ]
 
 
@@ -71,3 +81,22 @@ def test_threads_share_the_prime_table_and_the_totient_memo(monkeypatch):
             assert results == [expected] * THREADS
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_batched_read_slices_the_table_its_growth_returned(monkeypatch):
+    # the interleaving that the race above makes rare, made certain: a
+    # smaller table replaces the shared one just after this read's growth
+    grow = sources._primes_through
+
+    def grow_then_replaced(n):
+        table = grow(n)
+        sources._prime_table = SIX_PRIMES
+        return table
+
+    _reset(monkeypatch)
+    monkeypatch.setattr(sources, "_primes_through", grow_then_replaced)
+    expected = list(sympy.primerange(2, 300_000))
+    assert list(primes().values(range(1, 3001, 7))) == expected[:3000:7]
+    assert list(primes().values(range(3000, 0, -1000))) == expected[2999::-1000]
+    terms = list(islice(iter_terms(TransformSpec("shifted-columns", k=1000), primes()), 300))
+    assert terms == [expected[i + 1000 * (j - 1) - 1] for i, j in islice(walk(CANTOR), 300)]

@@ -1,13 +1,15 @@
+import tracemalloc
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridseq import pairing, transforms as tr
-from gridseq.schemes import Scheme, parse_scheme, tiling_scheme
+from gridseq.schemes import RUN_CAP, Scheme, parse_scheme, tiling_scheme
 from gridseq.sources import (
     BudgetExceededError,
     NonPositiveTermError,
+    SequenceSource,
     custom,
     euler_phi,
     from_list,
@@ -16,7 +18,7 @@ from gridseq.sources import (
     power_base,
     primes,
 )
-from gridseq.transforms import FAMILIES, TransformSpec, generate_prefix, iter_terms
+from gridseq.transforms import FAMILIES, FAMILY_TABLE, TransformSpec, generate_prefix, iter_terms
 from support import (
     BRAID_L3,
     DOUBLE_RELUCTANT_INDICES,
@@ -464,12 +466,7 @@ def test_iter_terms_from_any_start(case, start, m):
     assert list(islice(iter_terms(spec, sources, start=start), m)) == expected
 
 
-# the rules that decode a row index themselves, one square root per cell
-ROOT_FREE_CASES = [(spec, sources) for spec, sources in RULE_CASES
-                   if spec.family != "double-reluctant" and not (spec.family == "eta" and spec.d > 2)]
-
-
-@pytest.mark.parametrize("case", ROOT_FREE_CASES, ids=case_id)
+@pytest.mark.parametrize("case", RULE_CASES, ids=case_id)
 def test_iter_terms_takes_one_square_root(case, monkeypatch):
     # the walk decodes its start and then steps: over a prefix that crosses
     # many diagonals or shells, one square root in all, at the start
@@ -520,3 +517,40 @@ def test_spec_checks_every_parameter_once():
         assert generate_prefix(TransformSpec(family, k=0), IDENT, 3) == [1, 1, 2]
     assert generate_prefix(TransformSpec("max-shift", k=1), IDENT, 3) == [1, 2, 2]
     assert generate_prefix(TransformSpec("pair", combiner=max), [IDENT, IDENT], 3) == [1, 2, 2]
+
+
+class CountingSource(SequenceSource):
+    """The naturals, recording the length of every batched read."""
+
+    def __init__(self, reads):
+        super().__init__("counting", lambda m: m)
+        self.reads = reads
+
+    def values(self, r):
+        self.reads.append(len(r))
+        return super().values(r)
+
+
+BLOCK_CASES = [(spec, len(sources)) for spec, sources in RULE_CASES
+               if FAMILY_TABLE[spec.family].block is not None
+               and FAMILY_TABLE[spec.family].block(spec, sources) is not None]
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda case: case_id((case[0], [0] * case[1])))
+def test_block_reads_stay_under_the_cap(case):
+    # far out, a diagonal or shell holds about 10^15 cells; each batched read
+    # stays within one run of RUN_CAP cells, so memory does not grow with it
+    spec, count = case
+    for start in (1, pairing.triangle(10**15) + 1, 10**30 - 17):
+        reads = []
+        sources = [CountingSource(reads) for _ in range(count)]
+        tracemalloc.start()
+        try:
+            for n, v in enumerate(islice(iter_terms(spec, sources, start), 2 * RUN_CAP + 50)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 2 * RUN_CAP + 49
+        assert max(reads, default=0) <= RUN_CAP, (start, max(reads))
+        assert peak < 2**22, (start, peak)
