@@ -9,18 +9,21 @@ or by one of two parity-alternating mixes of the two.
 Tile side rules are finite descriptions (constant, explicit list, linear
 ramp) so a cover can be written down, parsed back, and reproduced.  A
 constant rule is a ramp with step 0, so every count has two paths: exact
-polynomials when neither rule is a list, and sums over the list's side
-sums, built once at construction, otherwise.  Encoding evaluates the
-counts once; decoding bisects them, O(log n) evaluations.  Rules and
-specs never change after construction, so they can be shared freely
-across threads.
+polynomials when neither rule is a list, and otherwise one O(d) product
+sum over the side tuples each rule holds (a list's sides and side sums,
+an affine rule's sides laid out as a range), with no per-diagonal table.
+Encoding evaluates the counts once; decoding bisects them, O(log n)
+evaluations.  Rules and specs never change after construction, so they
+can be shared freely across threads.
 """
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from math import isqrt
+from operator import mul
 
 from .pairing import Cell, cantor_z, diagonal_index, _check_cell, _check_index
 
@@ -87,6 +90,23 @@ class SideRule:
         if m >= len(self._sums):
             raise self._exhausted(len(self._sums))
         return self._sums[m]
+
+    def sides(self, lo: int, hi: int) -> Sequence[int]:
+        """Sides lo + 1..hi, in order, as a tuple or a range."""
+        if self.affine:
+            a, b = self.affine
+            return range(a + b * lo, a + b * hi, b) if b else (a,) * (hi - lo)
+        if hi > len(self.values):
+            raise self._exhausted(max(lo, len(self.values)) + 1)
+        return self.values[lo:hi]
+
+    def totals(self, lo: int, hi: int) -> Sequence[int]:
+        """total(lo)..total(hi), in order."""
+        if self.affine:
+            return list(accumulate(self.sides(lo, hi), initial=self.total(lo)))
+        if hi >= len(self._sums):
+            raise self._exhausted(len(self._sums))
+        return self._sums[lo:hi + 1]
 
     def split(self, x: int) -> tuple[int, int]:
         """(m, k) for coordinate x >= 1: m whole tiles lie before it, k cells of tile m + 1 too."""
@@ -174,7 +194,15 @@ class TilingSpec:
     def _cells_before(self, d: int) -> int:
         # cells in tile anti-diagonals 0..d-1
         if self._coeffs is None:
-            return sum(self.height(r) * self.lsum(d + 1 - r) for r in range(1, d + 1))
+            # h_1*lsum(d) + h_2*lsum(d-1) + ... + h_d*lsum(1) as one product sum;
+            # lsum(d) is read first, so a short lengths list raises before a
+            # short heights list, and an affine side is laid out only once
+            # the list rules are known to hold d sides
+            if d < 1:
+                return 0
+            self.lengths.total(d)
+            heights = self.heights.sides(0, d)
+            return sum(map(mul, heights, reversed(self.lengths.totals(1, d))))
         # A*C*binom(d+1, 2) + (A*E + B*C)*binom(d+1, 3) + B*E*binom(d+1, 4),
         # in Horner form over the common factor (d+1)*d/24; the division is exact
         A, B, C, E = self._coeffs
@@ -183,7 +211,13 @@ class TilingSpec:
     def _cells_above(self, d: int, R: int) -> int:
         # cells in the R tiles above tile (R, d - R) on tile anti-diagonal d
         if self._coeffs is None:
-            return sum(self.height(r) * self.length(d + 2 - r) for r in range(1, R + 1))
+            # h_1*l_(d+1) + h_2*l_d + ... + h_R*l_(d+2-R) as one product sum;
+            # the callers have counted diagonals 0..d-1, so only l_(d+1) can
+            # lie past a list's end, and the lengths are read first
+            if R < 1:
+                return 0
+            lengths = self.lengths.sides(d + 1 - R, d + 1)
+            return sum(map(mul, self.heights.sides(0, R), reversed(lengths)))
         # A*K*R + (B*K - A*E)*R(R-1)/2 - B*E*(R-1)R(2R-1)/6 with K = C + E*d,
         # over the common factor R/6; the division is exact
         A, B, C, E = self._coeffs

@@ -14,8 +14,8 @@ so a block rule reads a run of cells as one batched
 (:func:`schemes.runs`) through the block rule, and redoes a run cell by
 cell through the array rule when a batched read fails, so a failure names
 the same cell and index as the array rule does.  Rows with no block rule
-apply the array rule along :func:`schemes.walk`.  :func:`term` is the
-first term of :func:`iter_terms`.
+apply the array rule along :func:`schemes.walk`.  :func:`term` applies
+the array rule to the one cell :func:`schemes.decode` gives.
 
 The ``*_index`` functions and the functions named after the families are
 the paper's closed forms, position straight to source index.  They stay
@@ -688,8 +688,9 @@ def _bind(spec: TransformSpec, sources) -> tuple[Callable, Callable | None, Sche
 
 
 def term(spec: TransformSpec, sources, n: int) -> int:
-    """omega(n) for the configured family: the first term of its walk from n."""
-    return next(iter_terms(spec, sources, n))
+    """omega(n) for the configured family: its array rule at the reader's cell n."""
+    cell, _, reader = _bind(spec, sources)
+    return cell(*_schemes.decode(reader, n))
 
 
 def iter_terms(spec: TransformSpec, sources, start: int = 1) -> Iterator[int]:

@@ -6,11 +6,14 @@ them as byte-exact fixtures.  The ``f_*``/``s_*`` functions restate each
 index family's defining array rule directly, giving the closed forms an
 independent route to be checked against, and ``newton_isqrt`` is a
 loop-based integer square root used to stress the exactness of the
-``math.isqrt``-based index arithmetic.
+``math.isqrt``-based index arithmetic.  ``LoopTilingSpec`` counts the
+tiles of a spec with a ``list`` rule by plain generator sums over the
+per-side methods, the reference for the product sums of ``TilingSpec``.
 """
 
 from gridseq import tiling_scheme, transforms
 from gridseq.schemes import Scheme
+from gridseq.tiling import TilingSpec
 
 
 def _cells(text):
@@ -127,6 +130,32 @@ def direct_term(spec, sources, n):
     if "shift" in family:
         return fn(sources[0], spec.k, n)
     return fn(sources[0], n)
+
+
+def loop_cells_before(spec, d):
+    """Cells in tile anti-diagonals 0..d-1: h_r * lsum(d + 1 - r) summed over r = 1..d."""
+    return sum(spec.height(r) * spec.lsum(d + 1 - r) for r in range(1, d + 1))
+
+
+def loop_cells_above(spec, d, R):
+    """Cells in the R tiles above tile (R, d - R): h_r * l_(d + 2 - r) summed over r = 1..R."""
+    return sum(spec.height(r) * spec.length(d + 2 - r) for r in range(1, R + 1))
+
+
+class LoopTilingSpec(TilingSpec):
+    """A spec whose list counts are the generator sums above, one side at a time."""
+
+    __slots__ = ()
+
+    def _cells_before(self, d):
+        if self._coeffs is None:
+            return loop_cells_before(self, d)
+        return super()._cells_before(d)
+
+    def _cells_above(self, d, R):
+        if self._coeffs is None:
+            return loop_cells_above(self, d, R)
+        return super()._cells_above(d, R)
 
 
 def newton_isqrt(n):

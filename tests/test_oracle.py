@@ -137,6 +137,8 @@ def test_traversal_code_is_formula_free():
         "_cells_before",
         "_cells_above",
         "_last_below",
+        "sides(",
+        "totals(",
     )
     for name in forbidden:
         assert name not in walk_code, f"oracle walk references {name}"

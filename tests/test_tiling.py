@@ -19,13 +19,15 @@ from gridseq.tiling import (
     rect_decode,
     rect_encode,
 )
-from support import CONST32_TILING_CELLS, RAMP_TILING_CELLS
+from support import CONST32_TILING_CELLS, RAMP_TILING_CELLS, LoopTilingSpec
 
 CONST32 = parse_tiling_spec("const:3x2")
 CONST22 = parse_tiling_spec("const:2x2")
 RAMP = parse_tiling_spec("ramp:1+1x1+1")
 # fifteen sides each way: complete tile diagonals cover positions 1..2229
 LIST15 = "list:3,1,4,1,5,9,2,6,5,3,5,8,9,7,9x2,7,1,8,2,8,1,8,2,8,4,5,9,4,5"
+# LIST15's heights beside ramp 1+1 lengths: complete tile diagonals cover positions 1..3000
+MIXED15_REACH = 3_000
 
 
 def test_published_first_terms_const_3x2():
@@ -235,6 +237,39 @@ def test_closed_forms_match_list_sums(lengths, heights, sides, data):
             rect_decode(reach + 1, spec)
 
 
+_list_rules = st.lists(st.integers(1, 5), min_size=1, max_size=8).map(list_rule)
+_any_rules = st.one_of(_list_rules, _affine_rules)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_rules, st.data())
+def test_list_counts_match_loop_sums(lengths, data):
+    # the product sums of a pure-list or mixed spec give what the generator
+    # sums give, value for value, and past a list's end the same exception
+    # with the same message, which the CLI prints
+    draw = data.draw
+    heights = draw(_list_rules if lengths.affine else _any_rules)
+    spec, loop = TilingSpec(lengths, heights), LoopTilingSpec(lengths, heights)
+    sides = min(len(rule.values) for rule in (lengths, heights) if not rule.affine)
+    reach = loop.diag_cells(sides - 1)
+    for d in draw(st.lists(st.integers(-3, sides + 3), min_size=1, max_size=6)):
+        assert _outcome(spec.diag_cells, d) == _outcome(loop.diag_cells, d), d
+    cells = draw(st.lists(st.tuples(st.integers(1, 50), st.integers(1, 50)), min_size=1, max_size=8))
+    positions = draw(st.lists(st.integers(1, reach + 40), min_size=1, max_size=8)) + [reach, reach + 1]
+    for order in tiling.ORDERS:
+        for i, j in cells:
+            assert _outcome(rect_encode, i, j, spec, order) == _outcome(rect_encode, i, j, loop, order)
+        for n in positions:
+            assert _outcome(rect_decode, n, spec, order) == _outcome(rect_decode, n, loop, order)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_affine_rules, _affine_rules, st.sampled_from(tiling.ORDERS),
        st.integers(1, 10**30), st.integers(1, 10**15), st.integers(1, 10**15))
@@ -259,10 +294,15 @@ def test_walk_from_any_start_matches_decode_and_oracle(text, order, start, lengt
     assert cells == oracle.traverse(scheme, start + length - 1)[start - 1:]
 
 
-def _tiling_calls(ramp, listed):
+def _specs():
+    listed = parse_tiling_spec(LIST15)
+    return parse_tiling_spec("ramp:1+1x1+1"), listed, TilingSpec(ramp_rule(1), listed.heights)
+
+
+def _tiling_calls(ramp, listed, mixed):
     out = [ramp.lsum(20_000), ramp.hsum(20_000), ramp.diag_cells(300),
-           listed.lsum(15), listed.diag_cells(14)]
-    for spec, top in ((ramp, 10**6), (listed, 2_229)):
+           listed.lsum(15), listed.diag_cells(14), mixed.diag_cells(14)]
+    for spec, top in ((ramp, 10**6), (listed, 2_229), (mixed, MIXED15_REACH)):
         for order in tiling.ORDERS:
             for n in range(1, top, top // 10):
                 i, j = rect_decode(n, spec, order)
@@ -272,20 +312,21 @@ def _tiling_calls(ramp, listed):
 
 
 def test_threads_share_one_spec():
-    # four threads start together on one fresh spec per trial and must see
-    # exactly what one thread sees; a spec that grows memos on use fails this
-    expected = _tiling_calls(parse_tiling_spec("ramp:1+1x1+1"), parse_tiling_spec(LIST15))
+    # four threads start together on fresh ramp, list and mixed specs per
+    # trial and must see exactly what one thread sees; a spec that grows
+    # memos or tables on use fails this
+    expected = _tiling_calls(*_specs())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(30):
-            ramp, listed = parse_tiling_spec("ramp:1+1x1+1"), parse_tiling_spec(LIST15)
+            specs = _specs()
             gate = threading.Barrier(4, timeout=60)
             results = [None] * 4
 
             def run(k):
                 gate.wait()
-                results[k] = _tiling_calls(ramp, listed)
+                results[k] = _tiling_calls(*specs)
 
             threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
             for t in threads:

@@ -437,9 +437,13 @@ def with_positions(cases):
 
 @pytest.mark.parametrize("case, count", with_positions(RULE_CASES), ids=case_id)
 def test_term_matches_closed_form(case, count):
+    # term decodes each position; the walk from each of the first 2000 starts agrees too
     spec, sources = case
     for n in range(1, count + 1):
-        assert tr.term(spec, sources, n) == direct_term(spec, sources, n), n
+        expected = direct_term(spec, sources, n)
+        assert tr.term(spec, sources, n) == expected, n
+        if n <= 2_000:
+            assert next(iter_terms(spec, sources, n)) == expected, n
 
 
 def test_term_matches_closed_form_on_tilings():
@@ -455,7 +459,9 @@ def test_term_matches_closed_form_on_tilings():
 @given(st.sampled_from(RULE_CASES), st.integers(1, 10**30))
 def test_term_matches_closed_form_far_out(case, n):
     spec, sources = case
-    assert tr.term(spec, sources, n) == direct_term(spec, sources, n)
+    expected = direct_term(spec, sources, n)
+    assert tr.term(spec, sources, n) == expected
+    assert next(iter_terms(spec, sources, n)) == expected
 
 
 @settings(max_examples=300, deadline=None)
