@@ -169,10 +169,9 @@ class TilingSpec:
         return f"TilingSpec({self.text()!r})"
 
     def text(self) -> str:
-        kind = self.lengths.kind
-        if kind == self.heights.kind:
-            return f"{kind}:{self.lengths.text()}x{self.heights.text()}"
-        return f"lengths[{self.lengths.kind}:{self.lengths.text()}]xheights[{self.heights.kind}:{self.heights.text()}]"
+        kind = self.heights.kind
+        heights = self.heights.text() if kind == self.lengths.kind else f"{kind}:{self.heights.text()}"
+        return f"{self.lengths.kind}:{self.lengths.text()}x{heights}"
 
     def length(self, m: int) -> int:
         return self.lengths.side(m)
@@ -225,22 +224,34 @@ class TilingSpec:
         return R * (6 * A * K + (R - 1) * (3 * (B * K - A * E) - B * E * (2 * R - 1))) // 6
 
 
+_KINDS = ("const", "list", "ramp")
+
+
+def _parse_rule(kind: str, text: str) -> SideRule:
+    if kind == "const":
+        return const_rule(int(text))
+    if kind == "list":
+        return list_rule(map(int, text.split(",")))
+    start, _, step = text.partition("+")
+    return ramp_rule(int(start), int(step or 1))
+
+
 def parse_tiling_spec(text: str) -> TilingSpec:
-    """Parse ``const:<l>x<h>``, ``list:<l1,...>x<h1,...>`` or ``ramp:<a>+<b>x<a>+<b>``."""
+    """Parse ``const:<l>x<h>``, ``list:<l1,...>x<h1,...>`` or ``ramp:<a>+<b>x<a>+<b>``.
+
+    Heights of another kind than the lengths name it, e.g. ``list:1,2xramp:1+1``.
+    """
     kind, sep, body = text.partition(":")
-    if not sep or kind not in ("const", "list", "ramp"):
+    if not sep or kind not in _KINDS:
         raise ValueError(f"bad tiling spec {text!r}")
     left, sep, right = body.partition("x")
     if not sep:
         raise ValueError(f"bad tiling spec {text!r}: expected <lengths>x<heights>")
+    height_kind, _, heights = right.partition(":")
+    if height_kind not in _KINDS:  # the heights are of the lengths' kind
+        height_kind, heights = kind, right
     try:
-        if kind == "const":
-            return TilingSpec(const_rule(int(left)), const_rule(int(right)))
-        if kind == "list":
-            return TilingSpec(list_rule(map(int, left.split(","))), list_rule(map(int, right.split(","))))
-        la, _, lb = left.partition("+")
-        ha, _, hb = right.partition("+")
-        return TilingSpec(ramp_rule(int(la), int(lb or 1)), ramp_rule(int(ha), int(hb or 1)))
+        return TilingSpec(_parse_rule(kind, left), _parse_rule(height_kind, heights))
     except ValueError as exc:
         raise ValueError(f"bad tiling spec {text!r}: {exc}") from None
 

@@ -6,16 +6,26 @@ along an enumeration, its reader: the anti-diagonals (``cantor``) for
 most families, the square shells (``angle``) for the three ``-angle``
 families, and the outer scheme for ``superpose``.  A row of
 :data:`FAMILY_TABLE` holds the rule and the reader, and most rows a block
-rule too.  Along one anti-diagonal or shell a family's source index is
-affine in the cell's place, or two affine pieces split at the middle cell,
-so a block rule reads a run of cells as one batched
-:meth:`~gridseq.sources.SequenceSource.values` call per piece.
+rule too, which reads a run of cells of one diagonal or shell in batched
+:meth:`~gridseq.sources.SequenceSource.values` calls.
+
+Eleven families are stated once, by their forms: on each side of the main
+diagonal, cell (i, j) reads the source e + f*i + g*j (mod the pool size)
+of a pool of the sources, at index c + a*i + b*j.  Their array rule
+evaluates the forms at a cell.  Their block rule composes the forms with
+the reader's two halves of a diagonal or shell, whose cells are affine in
+their place p, so along a half the index is affine in p: one strided read,
+or one per residue of the pick when the source rotates.
+``double-reluctant``, ``eta``, ``pair``, ``self-compose`` and
+``superpose`` keep rules of their own.
+
 :func:`iter_terms` reads the reader's walk run by run
 (:func:`schemes.runs`) through the block rule, and redoes a run cell by
 cell through the array rule when a batched read fails, so a failure names
 the same cell and index as the array rule does.  Rows with no block rule
-apply the array rule along :func:`schemes.walk`.  :func:`term` applies
-the array rule to the one cell :func:`schemes.decode` gives.
+apply the array rule along :func:`schemes.walk`.  :func:`term` builds
+only the array rule and applies it to the one cell :func:`schemes.decode`
+gives.
 
 The ``*_index`` functions and the functions named after the families are
 the paper's closed forms, position straight to source index.  They stay
@@ -25,9 +35,9 @@ Index arithmetic is exact throughout.
 
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, islice, starmap
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -342,16 +352,6 @@ def superpose(alpha: SequenceSource, inner: Scheme, outer: Scheme, n: int) -> in
 # the parameters and _bind the sources, and each source's value method is
 # bound here, so the cell functions check nothing per cell.
 
-def _reluctant_rule(spec, sources):
-    value = sources[0].value
-    return lambda i, j: value(i)
-
-
-def _reverse_reluctant_rule(spec, sources):
-    value = sources[0].value
-    return lambda i, j: value(j)
-
-
 def _double_reluctant_rule(spec, sources):
     value = sources[0].value
     return lambda i, j: value(reluctant_index(i))
@@ -364,21 +364,6 @@ def _self_compose_rule(spec, sources):
     return lambda i, j: _compose(alpha, i, _doubling_times(j))
 
 
-def _shifted_rule(spec, sources):
-    value, k = sources[0].value, spec.k
-    return lambda i, j: value(i + k * (j - 1))
-
-
-def _max_shift_rule(spec, sources):
-    value, k = sources[0].value, spec.k
-    return lambda i, j: value(max(k * (i - 1) + j, i + k * (j - 1)))
-
-
-def _segment_shift_rule(spec, sources):
-    value, k = sources[0].value, spec.k
-    return lambda i, j: value(i - j + 1 if i >= j else j - i + k - 1)
-
-
 def _pair_rule(spec, sources):
     return _combiner(sources[0], sources[1], spec.combiner, spec.k)
 
@@ -388,24 +373,6 @@ def _eta_rule(spec, sources):
     if d == 1:
         return cantor_encode  # eta(1, n) = n: the array is the Cantor numbering itself
     return lambda i, j: concat_numbers(eta(d - 1, i), j)
-
-
-def _multi_replicate_rule(spec, sources):
-    values = [s.value for s in sources]
-    l = len(values)
-    return lambda i, j: values[(j - 1) % l](i)
-
-
-def _braid_rule(spec, sources):
-    values = [s.value for s in sources]
-    l = len(values)
-    return lambda i, j: values[(i + j - 2) % l](i)
-
-
-def _segment_braid_rule(spec, sources):
-    values = [s.value for s in sources]
-    l, last = len(values), values[-1]
-    return lambda i, j: values[(j - 1) % (l - 1)](i - j + 1) if i >= j else last(j - i)
 
 
 def _superpose_rule(spec, sources):
@@ -427,55 +394,6 @@ def _read(source, first: int, step: int, n: int) -> Sequence[int]:
     if step:
         return source.values(range(first, first + step * n, step))
     return [source.values(range(first, first + 1))[0]] * n
-
-
-def _affine(pieces):
-    """A block rule over one source whose index is a + b*p on each piece (lo, hi, a, b) of block t."""
-    def block(spec, sources):
-        source, k = sources[0], spec.k
-
-        def read(t, p0, p1):
-            parts = [_read(source, a + b * max(lo, p0), b, min(hi, p1) - max(lo, p0) + 1)
-                     for lo, hi, a, b in pieces(t, k) if max(lo, p0) <= min(hi, p1)]
-            return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
-        return read
-    return block
-
-
-# the index pieces of each one-source family: (lo, hi, a, b), index a + b*p
-# for cells lo <= p <= hi; max and abs split at the middle cell m
-def _reluctant_pieces(t, k):
-    return ((1, t + 1, 0, 1),)
-
-
-def _reverse_reluctant_pieces(t, k):
-    return ((1, t + 1, t + 2, -1),)
-
-
-def _shifted_pieces(t, k):
-    return ((1, t + 1, k * (t + 1), 1 - k),)
-
-
-def _max_shift_pieces(t, k):
-    m = (t + 1) // 2
-    return (1, m, k * (t + 1), 1 - k), (m + 1, t + 1, t + 2 - k, k - 1)
-
-
-def _segment_shift_pieces(t, k):
-    m = (t + 1) // 2
-    return (1, m, t + 1 + k, -2), (m + 1, t + 1, -t - 1, 2)
-
-
-def _shifted_angle_pieces(s, k):
-    return (1, s, k * (s - 1), 1), (s + 1, 2 * s - 1, s + k * (2 * s - 1), -k)
-
-
-def _max_shift_angle_pieces(s, k):
-    return (1, s, k * (s - 1), 1), (s + 1, 2 * s - 1, k * (s - 1) + 2 * s, -1)
-
-
-def _segment_shift_angle_pieces(s, k):
-    return (1, s - 1, s + k - 1, -1), (s, 2 * s - 1, 1 - s, 1)
 
 
 def _double_reluctant_block(spec, sources):
@@ -551,34 +469,99 @@ def _pair_block(spec, sources):
                                       beta.values(range(t + 2 - p0, t + 1 - p1, -1))))
 
 
-def _rotating(sources, t, p0, p1, a, b) -> list:
-    """For p = p0..p1: sources[(t + 1 - p) % l] at index a + b*p, one strided read per source."""
-    l, n = len(sources), p1 - p0 + 1
-    out = [0] * n
-    for o in range(min(l, n)):
-        p = p0 + o
-        out[o::l] = _read(sources[(t + 1 - p) % l], a + b * p, b * l, len(range(o, n, l)))
-    return out
+# -- affine families ----------------------------------------------------------------------
+# Eleven families are stated once, as forms(k) -> (lower, upper): lower holds
+# at the cells (i, j) with i >= j, upper at those with i < j.  The array rule
+# and the block read are both derived from the forms.
+
+_ALL, _BUT_LAST, _LAST = slice(None), slice(None, -1), slice(-1, None)
 
 
-def _multi_replicate_block(spec, sources):
-    return lambda t, p0, p1: _rotating(sources, t, p0, p1, 0, 1)
+def _form(c: int, a: int, b: int, pool: slice = _ALL, e: int = 0, f: int = 0, g: int = 0):
+    """Cell (i, j) reads the source sources[pool][(e + f*i + g*j) % pool size] at c + a*i + b*j."""
+    return c, a, b, pool, e, f, g
 
 
-def _braid_block(spec, sources):
-    return lambda t, p0, p1: sources[t % len(sources)].values(range(p0, p1 + 1))
+def _fixed(lower, upper=None):
+    """forms(k) of a family that reads no k: the same pair, built once."""
+    forms = lower, upper or lower
+    return lambda k: forms
 
 
-def _segment_braid_block(spec, sources):
-    rotating, last = sources[:-1], sources[-1]
+def _shifted_forms(k):
+    form = _form(-k, 1, k)  # i + k(j - 1)
+    return form, form
+
+
+def _max_shift_forms(k):
+    # max(k(i - 1) + j, i + k(j - 1)), whose first argument wins when i >= j
+    return _form(-k, k, 1), _form(-k, 1, k)
+
+
+def _segment_shift_forms(k):
+    return _form(1, 1, -1), _form(k - 1, -1, 1)  # i - j + 1, or j - i + k - 1 above the diagonal
+
+
+def _affine_rule(forms, spec, sources):
+    lower, upper = forms(spec.k)
+
+    def cell(i, j):
+        c, a, b, pool, e, f, g = lower if i >= j else upper
+        pool = sources[pool]
+        return pool[(e + f * i + g * j) % len(pool)].value(c + a * i + b * j)
+    return cell
+
+
+# reader kind -> (split, upper cell, lower cell): cells p < split(t) of block
+# t lie above the main diagonal and p >= split(t) on or below it; each half's
+# cell p is (i0 + it*t + di*p, j0 + jt*t + dj*p), given as (i0, it, di, j0, jt, dj)
+_HALVES = {
+    "cantor": (lambda t: (t + 3) // 2, (0, 0, 1, 2, 1, -1), (0, 0, 1, 2, 1, -1)),  # (p, t+2-p)
+    "angle": (lambda s: s, (0, 0, 1, 0, 1, 0), (0, 1, 0, 0, 2, -1)),  # (q, s), then (s, 2s-q)
+}
+
+
+def _half_read(form, cell, sources) -> Callable:
+    """read(t, x, y): cells x..y of one half of block t, one strided read per residue of the pick."""
+    c, a, b, pool, e, f, g = form
+    i0, it, di, j0, jt, dj = cell
+    pool = sources[pool]
+    l = len(pool)
+    # the index and the pick, each affine in t and p along the half
+    index0, index_t, index_p = c + a * i0 + b * j0, a * it + b * jt, a * di + b * dj
+    pick0, pick_t, pick_p = e + f * i0 + g * j0, f * it + g * jt, f * di + g * dj
+    period = l // gcd(pick_p, l)  # the pick repeats every period cells
+    if period == 1:
+        return lambda t, x, y: _read(pool[(pick0 + pick_t * t) % l],
+                                     index0 + index_t * t + index_p * x, index_p, y - x + 1)
+
+    def read(t, x, y):
+        n = y - x + 1
+        out = [0] * n
+        for o in range(min(period, n)):
+            p = x + o
+            out[o::period] = _read(pool[(pick0 + pick_t * t + pick_p * p) % l],
+                                   index0 + index_t * t + index_p * p, index_p * period,
+                                   len(range(o, n, period)))
+        return out
+    return read
+
+
+def _affine_block(forms, halves, spec, sources):
+    split, upper_cell, lower_cell = halves
+    lower, upper = forms(spec.k)
+    below = _half_read(lower, lower_cell, sources)
+    if (lower, lower_cell) == (upper, upper_cell):
+        return below  # one form over the whole block: no split
+    above = _half_read(upper, upper_cell, sources)
 
     def read(t, p0, p1):
-        m = (t + 1) // 2  # cells 1..m lie above the diagonal i = j and read the last source
-        head = _read(last, t + 2 - 2 * p0, -2, min(m, p1) - p0 + 1) if p0 <= m else []
-        if p1 <= m:
-            return head
-        tail = _rotating(rotating, t, max(p0, m + 1), p1, -t - 1, 2)
-        return [*head, *tail] if head else tail
+        m = split(t)
+        if p1 < m:
+            return above(t, p0, p1)
+        if p0 >= m:
+            return below(t, p0, p1)
+        return [*above(t, p0, m - 1), *below(t, m, p1)]
     return read
 
 
@@ -604,28 +587,33 @@ class Family(NamedTuple):
         return self.k_min is not None
 
 
+def _affine_family(sources: int, forms, reader: Scheme = _schemes.CANTOR,
+                   k_min: int | None = None) -> Family:
+    """The row of a family stated by its forms: both rules are derived from them."""
+    return Family(sources, () if k_min is None else ("k",), partial(_affine_rule, forms),
+                  reader, k_min, partial(_affine_block, forms, _HALVES[reader.kind]))
+
+
 FAMILY_TABLE = {
-    "reluctant": Family(1, (), _reluctant_rule, block=_affine(_reluctant_pieces)),
-    "reverse-reluctant": Family(1, (), _reverse_reluctant_rule,
-                                block=_affine(_reverse_reluctant_pieces)),
+    "reluctant": _affine_family(1, _fixed(_form(0, 1, 0))),  # i
+    "reverse-reluctant": _affine_family(1, _fixed(_form(0, 0, 1))),  # j
     "double-reluctant": Family(1, (), _double_reluctant_rule, block=_double_reluctant_block),
     "self-compose": Family(1, ("convention",), _self_compose_rule),
-    "shifted-columns": Family(1, ("k",), _shifted_rule, k_min=0,
-                              block=_affine(_shifted_pieces)),
-    "max-shift": Family(1, ("k",), _max_shift_rule, k_min=1, block=_affine(_max_shift_pieces)),
-    "segment-shift": Family(1, ("k",), _segment_shift_rule, k_min=1,
-                            block=_affine(_segment_shift_pieces)),
-    "shifted-columns-angle": Family(1, ("k",), _shifted_rule, ANGLE, k_min=0,
-                                    block=_affine(_shifted_angle_pieces)),
-    "max-shift-angle": Family(1, ("k",), _max_shift_rule, ANGLE, k_min=1,
-                              block=_affine(_max_shift_angle_pieces)),
-    "segment-shift-angle": Family(1, ("k",), _segment_shift_rule, ANGLE, k_min=1,
-                                  block=_affine(_segment_shift_angle_pieces)),
+    "shifted-columns": _affine_family(1, _shifted_forms, k_min=0),
+    "max-shift": _affine_family(1, _max_shift_forms, k_min=1),
+    "segment-shift": _affine_family(1, _segment_shift_forms, k_min=1),
+    "shifted-columns-angle": _affine_family(1, _shifted_forms, ANGLE, k_min=0),
+    "max-shift-angle": _affine_family(1, _max_shift_forms, ANGLE, k_min=1),
+    "segment-shift-angle": _affine_family(1, _segment_shift_forms, ANGLE, k_min=1),
     "pair": Family(2, ("combiner", "k"), _pair_rule, block=_pair_block),
     "eta": Family(0, ("d",), _eta_rule, block=_eta_block),
-    "multi-replicate": Family(SEVERAL, (), _multi_replicate_rule, block=_multi_replicate_block),
-    "braid": Family(SEVERAL, (), _braid_rule, block=_braid_block),
-    "segment-braid": Family(SEVERAL, (), _segment_braid_rule, block=_segment_braid_block),
+    # source (j - 1) mod l at i
+    "multi-replicate": _affine_family(SEVERAL, _fixed(_form(0, 1, 0, _ALL, -1, 0, 1))),
+    # source (i + j - 2) mod l at i: one source per anti-diagonal
+    "braid": _affine_family(SEVERAL, _fixed(_form(0, 1, 0, _ALL, -2, 1, 1))),
+    # source (j - 1) mod (l - 1) at i - j + 1, or the last source at j - i above the diagonal
+    "segment-braid": _affine_family(SEVERAL, _fixed(_form(1, 1, -1, _BUT_LAST, -1, 0, 1),
+                                                     _form(0, -1, 1, _LAST))),
     "superpose": Family(1, ("inner", "outer"), _superpose_rule, reader=None),
 }
 FAMILIES = tuple(FAMILY_TABLE)
@@ -676,21 +664,20 @@ def _as_sources(sources) -> list[SequenceSource]:
     return list(sources)
 
 
-def _bind(spec: TransformSpec, sources) -> tuple[Callable, Callable | None, Scheme]:
-    """(cell function, block read or None, reader) of the spec's family over these sources."""
+def _bind(spec: TransformSpec, sources) -> tuple[Family, list[SequenceSource], Scheme]:
+    """(family row, sources, reader) of the spec, once the source count is checked."""
     src = _as_sources(sources)
     row = FAMILY_TABLE[spec.family]
     if len(src) != row.sources and (row.sources != SEVERAL or len(src) < 2):
         need = "at least 2" if row.sources == SEVERAL else row.sources
         raise ValueError(f"family {spec.family} reads {need} input sequences, got {len(src)}")
-    block = row.block(spec, src) if row.block else None
-    return row.rule(spec, src), block, row.reader or spec.outer
+    return row, src, row.reader or spec.outer
 
 
 def term(spec: TransformSpec, sources, n: int) -> int:
     """omega(n) for the configured family: its array rule at the reader's cell n."""
-    cell, _, reader = _bind(spec, sources)
-    return cell(*_schemes.decode(reader, n))
+    row, src, reader = _bind(spec, sources)
+    return row.rule(spec, src)(*_schemes.decode(reader, n))
 
 
 def iter_terms(spec: TransformSpec, sources, start: int = 1) -> Iterator[int]:
@@ -701,7 +688,8 @@ def iter_terms(spec: TransformSpec, sources, start: int = 1) -> Iterator[int]:
     ``schemes.RUN_CAP`` cells at a time through the block rule, or a cell
     at a time through the array rule.
     """
-    cell, block, reader = _bind(spec, sources)
+    row, src, reader = _bind(spec, sources)
+    cell, block = row.rule(spec, src), row.block and row.block(spec, src)
     if block is None:
         return starmap(cell, _schemes.walk(reader, start))
     return chain.from_iterable(_block_runs(cell, block, reader, _schemes.runs(reader, start)))

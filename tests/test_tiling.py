@@ -241,6 +241,16 @@ _list_rules = st.lists(st.integers(1, 5), min_size=1, max_size=8).map(list_rule)
 _any_rules = st.one_of(_list_rules, _affine_rules)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_any_rules, _any_rules, st.sampled_from(tiling.ORDERS))
+def test_scheme_text_parses_back(lengths, heights, order):
+    # const, ramp and list specs, and mixed ones such as list lengths beside
+    # ramp heights, which print as lengths[list:...]xheights[ramp:...]
+    scheme = tiling_scheme(TilingSpec(lengths, heights), order)
+    assert schemes.parse_scheme(scheme.text()) == scheme
+    assert parse_tiling_spec(scheme.tiling.text()) == scheme.tiling
+
+
 def _outcome(call, *args):
     try:
         return call(*args)

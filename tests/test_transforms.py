@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridseq import pairing, transforms as tr
+from gridseq import pairing, schemes, transforms as tr
 from gridseq.schemes import RUN_CAP, Scheme, parse_scheme, tiling_scheme
 from gridseq.sources import (
     BudgetExceededError,
@@ -560,3 +560,69 @@ def test_block_reads_stay_under_the_cap(case):
         assert n == 2 * RUN_CAP + 49
         assert max(reads, default=0) <= RUN_CAP, (start, max(reads))
         assert peak < 2**22, (start, peak)
+
+
+# -- the affine families' block reads against their array rules at the main diagonal --------
+
+AFFINE_FAMILIES = ("reluctant", "reverse-reluctant", "shifted-columns", "max-shift", "segment-shift",
+                   "shifted-columns-angle", "max-shift-angle", "segment-shift-angle",
+                   "multi-replicate", "braid", "segment-braid")
+
+
+def affine_cases():
+    """(spec, sources) of each affine family at k = 0, 1 and 1000 where the family takes it."""
+    cases = []
+    for family in AFFINE_FAMILIES:
+        row = FAMILY_TABLE[family]
+        for k in (0, 1, 1000) if row.needs_k else (0,):
+            if k < (row.k_min or 0):
+                continue
+            for l in (2, 3, 5) if row.sources == tr.SEVERAL else (1,):
+                # 10m + r tells source r at index m apart from every other
+                sources = [custom(lambda m, r=r: 10 * m + r, f"tag{r}") for r in range(l)]
+                cases.append((TransformSpec(family, k=k), sources))
+    return cases
+
+
+AFFINE_CASES = affine_cases()
+
+
+def block_and_cells(spec, sources, t, p0, p1):
+    row = FAMILY_TABLE[spec.family]
+    cell = row.rule(spec, sources)
+    block = list(row.block(spec, sources)(t, p0, p1))
+    return block, [cell(i, j) for i, j in schemes.run_cells(row.reader, t, p0, p1)]
+
+
+def block_size(reader, t):
+    return t + 1 if reader.kind == "cantor" else 2 * t - 1
+
+
+def test_affine_blocks_match_their_rules_on_every_run_of_small_blocks():
+    # every run p0..p1 of anti-diagonals 0..11 and shells 1..12, so every
+    # run that starts, ends or crosses at the main diagonal
+    for spec, sources in AFFINE_CASES:
+        reader = FAMILY_TABLE[spec.family].reader
+        for t in range(0, 12) if reader.kind == "cantor" else range(1, 13):
+            size = block_size(reader, t)
+            for p0 in range(1, size + 1):
+                for p1 in range(p0, size + 1):
+                    block, cells = block_and_cells(spec, sources, t, p0, p1)
+                    assert block == cells, (spec, len(sources), t, p0, p1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(AFFINE_CASES), st.integers(1, 10**30), st.sampled_from((0, 1)),
+       st.integers(-40, 1), st.integers(-1, 40))
+def test_affine_blocks_match_their_rules_at_the_main_diagonal_far_out(case, half, parity, before, after):
+    # a run that starts or ends on, or crosses, the middle cell of an
+    # anti-diagonal t, odd or even, or cell s of a shell, with t and s up to 10^30
+    spec, sources = case
+    reader = FAMILY_TABLE[spec.family].reader
+    t = 2 * half + parity - (reader.kind == "cantor")  # cantor from 1, angle from 2
+    middle = (t + 1) // 2 if reader.kind == "cantor" else t  # the last cell above i = j, or cell (s, s)
+    size = block_size(reader, t)
+    p0 = max(1, middle + before)
+    p1 = max(p0, min(size, middle + after))
+    block, cells = block_and_cells(spec, sources, t, p0, p1)
+    assert block == cells
