@@ -17,7 +17,13 @@ the reader's two halves of a diagonal or shell, whose cells are affine in
 their place p, so along a half the index is affine in p: one strided read,
 or one per residue of the pick when the source rotates.
 ``double-reluctant``, ``eta``, ``pair``, ``self-compose`` and
-``superpose`` keep rules of their own.
+``superpose`` keep rules of their own.  ``double-reluctant`` and ``eta``
+read a prefix of their inner sequence that grows by one row per
+diagonal.  In ``self-compose`` (linear) and ``pair --combiner iterate``,
+cell (i, j + 1) is the source (alpha, or beta) at cell (i, j), so their
+block rule maps the source over the diagonal before and adds cell
+(t + 1, 1).  Only ``superpose`` and ``self-compose`` under the
+``doubling`` convention stay on the array rule.
 
 :func:`iter_terms` reads the reader's walk run by run
 (:func:`schemes.runs`) through the block rule, and redoes a run cell by
@@ -27,8 +33,9 @@ apply the array rule along :func:`schemes.walk`.  :func:`term` builds
 only the array rule and applies it to the one cell :func:`schemes.decode`
 gives.
 
-The ``*_index`` functions and the functions named after the families are
-the paper's closed forms, position straight to source index.  They stay
+The ``*_index`` functions, and the functions named after the families
+other than the three ``-angle`` ones, are the paper's closed forms,
+position straight to source index.  They stay
 as the explicit formulas, and the tests check the rules against them.
 Index arithmetic is exact throughout.
 """
@@ -324,18 +331,6 @@ def segment_shift_angle_index(k: int, n: int) -> int:
     return k * v + (2 * v - 1) * (t * t - n) + t
 
 
-def shifted_columns_angle(alpha, k: int, n: int) -> int:
-    return alpha.value(shifted_columns_angle_index(k, n))
-
-
-def max_shift_angle(alpha, k: int, n: int) -> int:
-    return alpha.value(max_shift_angle_index(k, n))
-
-
-def segment_shift_angle(alpha, k: int, n: int) -> int:
-    return alpha.value(segment_shift_angle_index(k, n))
-
-
 # -- superposition of two enumerations --------------------------------------------
 
 def superpose(alpha: SequenceSource, inner: Scheme, outer: Scheme, n: int) -> int:
@@ -457,9 +452,52 @@ def _eta_block(spec, sources):
                                       range(t + 2 - p0, t + 1 - p1, -1)))
 
 
+def _column_block(step, cell):
+    """read(t, p0, p1) of an array whose cell (i, j + 1) is step(cell(i, j)).
+
+    Anti-diagonal t is then step mapped over cells 1..t of diagonal t - 1,
+    and cell (t + 1, 1), which the array rule gives.  The read keeps the
+    prefix of the last diagonal read from its first cell and the whole
+    diagonal before it.  A read that does not follow on from the prefix
+    computes its own cells by the array rule, as does the first diagonal
+    read with no diagonal held before it; a diagonal t >= ``RUN_CAP``
+    takes the array rule and holds nothing.  A mapped term below 1
+    raises, and the run is redone by the array rule, which names the cell.
+    """
+    value, before, held, held_t = step.value, [], [], -1
+
+    def by_rule(t, p0, p1):
+        return [cell(p, t + 2 - p) for p in range(p0, p1 + 1)]
+
+    def read(t, p0, p1):
+        nonlocal before, held, held_t
+        if p0 == 1:
+            before, held, held_t = held if held_t == t - 1 else [], [], t
+        if t >= _schemes.RUN_CAP or held_t != t or len(held) != p0 - 1:
+            return by_rule(t, p0, p1)
+        mapped = min(p1, t)  # cell t + 1 has no cell before it
+        if len(before) < mapped:
+            run = by_rule(t, p0, p1)
+        else:
+            run = list(map(value, before[p0 - 1:mapped]))
+            if run and min(run) < 1:
+                raise NonPositiveTermError("composition needs positive terms")
+            if p1 > t:
+                run.append(cell(t + 1, 1))
+        held += run
+        return run
+    return read
+
+
+def _self_compose_block(spec, sources):
+    if spec.convention == "doubling":
+        return None  # column j composes 2**(j-1) times: no one-step recurrence
+    return _column_block(sources[0], _self_compose_rule(spec, sources))
+
+
 def _pair_block(spec, sources):
     if spec.combiner == "iterate":
-        return None  # each cell composes beta a different number of times
+        return _column_block(sources[1], _pair_rule(spec, sources))  # beta over the diagonal before
     alpha, beta, k = sources[0], sources[1], spec.k
     combine = {"product": mul, "power-sum": lambda a, b: a ** k + b ** k,
                "concat": concat_numbers}.get(spec.combiner, spec.combiner)
@@ -598,7 +636,7 @@ FAMILY_TABLE = {
     "reluctant": _affine_family(1, _fixed(_form(0, 1, 0))),  # i
     "reverse-reluctant": _affine_family(1, _fixed(_form(0, 0, 1))),  # j
     "double-reluctant": Family(1, (), _double_reluctant_rule, block=_double_reluctant_block),
-    "self-compose": Family(1, ("convention",), _self_compose_rule),
+    "self-compose": Family(1, ("convention",), _self_compose_rule, block=_self_compose_block),
     "shifted-columns": _affine_family(1, _shifted_forms, k_min=0),
     "max-shift": _affine_family(1, _max_shift_forms, k_min=1),
     "segment-shift": _affine_family(1, _segment_shift_forms, k_min=1),

@@ -9,6 +9,8 @@ loop-based integer square root used to stress the exactness of the
 ``math.isqrt``-based index arithmetic.  ``LoopTilingSpec`` counts the
 tiles of a spec with a ``list`` rule by plain generator sums over the
 per-side methods, the reference for the product sums of ``TilingSpec``.
+``outcome`` and ``describe`` reduce a stream of terms to what two
+generation paths must agree on, failures included.
 """
 
 from gridseq import tiling_scheme, transforms
@@ -116,6 +118,9 @@ def s_segment_braid(i, j, l):
 def direct_term(spec, sources, n):
     """omega(n) from the closed-form function named after the family, not through the family table."""
     family = spec.family
+    if family.endswith("-angle"):  # the shell readings are stated as index closed forms
+        index = getattr(transforms, family.replace("-", "_") + "_index")
+        return sources[0].value(index(spec.k, n))
     if family == "pair":
         return transforms.pair_transform(*sources, spec.combiner, n, spec.k)
     fn = getattr(transforms, family.replace("-", "_"))
@@ -130,6 +135,24 @@ def direct_term(spec, sources, n):
     if "shift" in family:
         return fn(sources[0], spec.k, n)
     return fn(sources[0], n)
+
+
+def outcome(terms):
+    """(the terms before the first failure, the failure or None)."""
+    got = []
+    try:
+        for v in terms:
+            got.append(v)
+    except Exception as exc:  # noqa: BLE001 - any failure must be matched exactly
+        return got, exc
+    return got, None
+
+
+def describe(exc, position):
+    """(type, message, index, position) of a failure, or None: what two paths must agree on."""
+    if exc is None:
+        return None
+    return type(exc), str(exc), getattr(exc, "index", None), position
 
 
 def loop_cells_before(spec, d):

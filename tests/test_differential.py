@@ -25,7 +25,7 @@ from gridseq.pairing import triangle
 from gridseq.schemes import SIMPLE_KINDS, Scheme
 from gridseq.sources import SourceError, euler_phi, from_list, identity, power_base, primes
 from gridseq.transforms import COMBINERS, CONVENTIONS, FAMILY_TABLE, SEVERAL, TransformSpec
-from support import direct_term
+from support import describe, direct_term, outcome
 
 ONE_BASED = [kind for kind in SIMPLE_KINDS if kind != "cantor0"]
 # the totient's cost grows with the square root of its argument, so phi is
@@ -102,23 +102,6 @@ def starts(phi):
         st.builds(lambda t, off: max(1, min(top, triangle(t) + 1 + off)), edge, st.integers(-30, 30)),
         st.builds(lambda s, off: max(1, min(top, s * s + 1 + off)), edge, st.integers(-30, 30)),
     )
-
-
-def outcome(terms):
-    """(the terms before the first failure, (type, message, index, position) or None)."""
-    got = []
-    try:
-        for v in terms:
-            got.append(v)
-    except Exception as exc:  # noqa: BLE001 - any failure must be matched exactly
-        return got, exc
-    return got, None
-
-
-def describe(exc, position):
-    if exc is None:
-        return None
-    return type(exc), str(exc), getattr(exc, "index", None), position
 
 
 def expected_terms(spec, sources, start, count):

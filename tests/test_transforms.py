@@ -2,7 +2,7 @@ import tracemalloc
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridseq import pairing, schemes, transforms as tr
 from gridseq.schemes import RUN_CAP, Scheme, parse_scheme, tiling_scheme
@@ -30,12 +30,14 @@ from support import (
     REVERSE_RELUCTANT_INDICES,
     SEGMENT_BRAID_L3,
     SUPERPOSE_FIRST6,
+    describe,
     direct_term,
     f_max,
     f_segment,
     f_shifted,
     max_shift_angle_listing,
     max_shift_listing,
+    outcome,
     s_braid,
     s_multi,
     s_segment_braid,
@@ -626,3 +628,60 @@ def test_affine_blocks_match_their_rules_at_the_main_diagonal_far_out(case, half
     p1 = max(p0, min(size, middle + after))
     block, cells = block_and_cells(spec, sources, t, p0, p1)
     assert block == cells
+
+
+# -- self-compose and pair --combiner iterate: column j + 1 is the step over column j --------
+
+# fixed points, a cycle, 0 and negatives, exhausted lists, and powers past a small budget;
+# m -> max(1, m - 1) up to RUN_CAP - 1 first fails at cell (RUN_CAP, 1), the last of its diagonal
+COLUMN_STEPS = [from_list([3, 1, 0, 2, 5, 4, 9]), from_list([2, 3, 1]), from_list([1, 4, -2, 2, 5, 3]),
+                from_list([1, *range(1, RUN_CAP - 1)]), euler_phi(), power_base(2, 12),
+                power_base(2, 64), HALF]
+
+
+COLUMN_CASES = st.one_of(
+    st.builds(lambda step: (TransformSpec("self-compose"), [step]), st.sampled_from(COLUMN_STEPS)),
+    st.builds(lambda alpha, step: (TransformSpec("pair", combiner="iterate"), [alpha, step]),
+              st.sampled_from([IDENT, euler_phi(), HALF, COLUMN_STEPS[0]]), st.sampled_from(COLUMN_STEPS)),
+)
+
+
+def terms_and_failure(terms, start):
+    got, exc = outcome(terms)
+    return got, describe(exc, start + len(got))
+
+
+@settings(max_examples=200, deadline=None)
+@example((TransformSpec("self-compose"), [COLUMN_STEPS[0]]), 0, "first", 1)  # 3 -> 0 at cell (1, 2)
+@example((TransformSpec("pair", combiner="iterate"), [IDENT, COLUMN_STEPS[0]]), 0, "first", 2)
+@example((TransformSpec("self-compose"), [COLUMN_STEPS[3]]), RUN_CAP - 2, "first", 2)
+@given(COLUMN_CASES,
+       st.one_of(st.integers(0, 40), st.integers(RUN_CAP - 2, RUN_CAP + 1)),
+       st.sampled_from(("first", "middle", "last")), st.integers(0, 2))
+def test_column_recurrence_matches_term_at_the_diagonal_edges(case, t, where, diagonals):
+    # a walk from the first, middle or last cell of anti-diagonal t, on to
+    # the end of up to two diagonals more: the first diagonal read from its
+    # first cell takes the array rule, the next ones the recurrence, and
+    # diagonals from RUN_CAP on the array rule again
+    spec, sources = case
+    p = {"first": 1, "middle": (t + 2) // 2, "last": t + 1}[where]
+    start = pairing.triangle(t) + p
+    count = t + 2 - p + sum(t + 2 + d for d in range(diagonals))
+    want = terms_and_failure((tr.term(spec, sources, n) for n in range(start, start + count)), start)
+    assert terms_and_failure(islice(iter_terms(spec, sources, start), count), start) == want
+
+
+def test_a_cold_start_reads_no_more_than_term():
+    # a walk that starts inside an anti-diagonal computes its own cells by the
+    # array rule; it does not first build the diagonal's prefix
+    calls = []
+    successor = custom(lambda m: calls.append(m) or m + 1, "successor")
+    n = pairing.triangle(4000) + 2000
+    for spec, sources in ((TransformSpec("self-compose"), [successor]),
+                          (TransformSpec("pair", combiner="iterate"), [successor, successor])):
+        calls.clear()
+        expected = tr.term(spec, sources, n)
+        made = len(calls)
+        calls.clear()
+        assert next(iter_terms(spec, sources, n)) == expected
+        assert len(calls) <= made, (spec.combiner, len(calls), made)
