@@ -54,6 +54,7 @@ from .tiling import (
     ramp_rule,
     rect_decode,
     rect_encode,
+    rect_encoder,
 )
 from .transforms import (
     TransformSpec,

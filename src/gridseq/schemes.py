@@ -4,12 +4,16 @@ A :class:`Scheme` names one bijection between grid cells and positions:
 one of the eight enumerations, each encoded and decoded in closed form, or
 a rectangle tiling with an inner numbering order.  ``cantor0`` is the
 zero-based classic and works on pairs (x, y) >= 0; every other scheme works
-on 1-based cells.  :func:`walk` streams the cells in order from any
-position.
+on 1-based cells.  A scheme binds its encoder once, when it is built
+(``Scheme.encoder``, the closed form or ``tiling.rect_encoder``), so
+:func:`encode` only does the arithmetic of one cell; a scheme and its
+encoder never change and can be shared across threads, and a scheme
+pickles and copies as its three fields.  :func:`walk` streams the cells in
+order from any position.
 """
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, repeat, starmap
 
@@ -70,16 +74,26 @@ class Scheme:
     kind: str
     tiling: TilingSpec | None = None
     order: str = "row"
+    # (i, j) -> position, bound once here; not part of the value
+    encoder: Callable[[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "tiling":
             if self.tiling is None:
                 raise ValueError("tiling scheme needs a TilingSpec")
             object.__setattr__(self, "order", tiling.canonical_order(self.order))
+            encoder = tiling.rect_encoder(self.tiling, self.order)
         elif self.kind not in SIMPLE_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         elif self.tiling is not None or self.order != "row":
             raise ValueError(f"scheme {self.kind!r} takes no tiling and no inner order")
+        else:
+            encoder = _ENCODERS[self.kind]
+        object.__setattr__(self, "encoder", encoder)
+
+    def __reduce__(self):
+        # rebuilt from its fields, so the bound encoder is never pickled
+        return type(self), (self.kind, self.tiling, self.order)
 
     def text(self) -> str:
         if self.kind == "tiling":
@@ -120,10 +134,8 @@ def first_index(scheme: Scheme) -> int:
 
 
 def encode(scheme: Scheme, i: int, j: int) -> int:
-    """Position of cell (i, j) under the scheme."""
-    if scheme.kind == "tiling":
-        return tiling.rect_encode(i, j, scheme.tiling, scheme.order)
-    return _ENCODERS[scheme.kind](i, j)
+    """Position of cell (i, j) under the scheme: its bound encoder."""
+    return scheme.encoder(i, j)
 
 
 def decode(scheme: Scheme, n: int) -> Cell:

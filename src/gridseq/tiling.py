@@ -18,7 +18,7 @@ can be shared freely across threads.
 """
 
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -168,6 +168,10 @@ class TilingSpec:
     def __repr__(self):
         return f"TilingSpec({self.text()!r})"
 
+    def __reduce__(self):
+        # pickles and copies under every protocol, as its two rules
+        return type(self), (self.lengths, self.heights)
+
     def text(self) -> str:
         kind = self.heights.kind
         heights = self.heights.text() if kind == self.lengths.kind else f"{kind}:{self.heights.text()}"
@@ -271,16 +275,43 @@ def _colwise(order: str, R: int, S: int) -> bool:
     return order == "col"
 
 
-def rect_encode(i: int, j: int, spec: TilingSpec, order: str = "row") -> int:
-    """Position of cell (i, j), numbered inside its tile by ``order`` (one of ORDERS)."""
+def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], int]:
+    """The function (i, j) -> position of cell (i, j), numbered inside its tile by ``order``.
+
+    The order, each rule's split (one ``divmod`` for a step-0 side) and the
+    spec's count methods are bound here, once.  Per cell it checks the cell,
+    splits i by the heights, then j by the lengths, then counts, so a spec
+    whose lists both run out raises the heights' ``SpecExhaustedError``.
+    """
     order = canonical_order(order)
-    _check_cell(i, j)
-    (R, di), (S, dj) = spec.heights.split(i), spec.lengths.split(j)
-    d = R + S
-    head = spec._cells_before(d) + spec._cells_above(d, R)
-    if _colwise(order, R, S):
-        return head + spec.height(R + 1) * dj + di + 1
-    return head + spec.length(S + 1) * di + dj + 1
+    # a, c: the side of a step-0 heights or lengths rule, else 0
+    a, c = (rule.affine[0] if rule.affine and not rule.affine[1] else 0
+            for rule in (spec.heights, spec.lengths))
+    split_i, split_j = spec.heights.split, spec.lengths.split
+    before, above = spec._cells_before, spec._cells_above
+    height, length = spec.height, spec.length
+    colwise = order == "col" if order in ("row", "col") else None
+
+    def encode(i: int, j: int) -> int:
+        _check_cell(i, j)
+        R, di = divmod(i - 1, a) if a else split_i(i)
+        S, dj = divmod(j - 1, c) if c else split_j(j)
+        d = R + S
+        head = before(d) + above(d, R) + 1
+        if colwise or (colwise is None and _colwise(order, R, S)):
+            return head + (a or height(R + 1)) * dj + di
+        return head + (c or length(S + 1)) * di + dj
+
+    return encode
+
+
+def rect_encode(i: int, j: int, spec: TilingSpec, order: str = "row") -> int:
+    """Position of cell (i, j), numbered inside its tile by ``order`` (one of ORDERS).
+
+    This binds ``rect_encoder(spec, order)`` for the one cell; to encode
+    many cells of one spec, bind the encoder once and call it.
+    """
+    return rect_encoder(spec, order)(i, j)
 
 
 def _last_below(count, n: int, hi: int) -> tuple[int, int]:

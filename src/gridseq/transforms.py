@@ -371,8 +371,8 @@ def _eta_rule(spec, sources):
 
 
 def _superpose_rule(spec, sources):
-    value, inner = sources[0].value, spec.inner
-    return lambda i, j: value(_schemes.encode(inner, i, j))
+    value, encode = sources[0].value, spec.inner.encoder
+    return lambda i, j: value(encode(i, j))
 
 
 # -- block rules ----------------------------------------------------------------------

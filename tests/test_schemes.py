@@ -1,3 +1,6 @@
+import pickle
+from copy import deepcopy
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -9,11 +12,22 @@ from gridseq.schemes import (
     SIMPLE_KINDS,
     Scheme,
     decode,
+    encode,
     first_index,
     parse_scheme,
     tiling_scheme,
     walk,
 )
+from gridseq.sources import identity
+from gridseq.tiling import ORDERS
+from gridseq.transforms import TransformSpec, generate_prefix
+
+# every kind, and const, ramp and list tilings under every order
+VALUE_SCHEMES = [Scheme(kind) for kind in SIMPLE_KINDS] + [
+    tiling_scheme(spec, order)
+    for spec in ("const:3x2", "ramp:1+1x2+1", "list:3,1,4x2,7,1")
+    for order in ORDERS
+]
 
 
 def test_parse_simple_names():
@@ -133,3 +147,32 @@ def test_scheme_text_and_str():
     assert str(Scheme("angle")) == "angle"
     assert str(tiling_scheme("const:3x2", "col")) == "tiling:const:3x2:col"
     assert schemes.CANTOR == Scheme("cantor")
+
+
+def _copies(value):
+    """The value through every pickle protocol, deepcopy and dataclasses.replace."""
+    pickled = [pickle.loads(pickle.dumps(value, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return [*pickled, deepcopy(value), replace(value)]
+
+
+@pytest.mark.parametrize("scheme", VALUE_SCHEMES, ids=str)
+def test_scheme_copies_as_a_plain_value(scheme):
+    # the bound encoder is not part of the value: a copy is rebuilt from the
+    # three fields, compares and hashes equal, and encodes the same
+    cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+    for copy in _copies(scheme):
+        assert copy == scheme and hash(copy) == hash(scheme) and repr(copy) == repr(scheme)
+        assert [copy.encoder(i, j) for i, j in cells] == [encode(scheme, i, j) for i, j in cells]
+    if scheme.kind == "tiling":  # a replaced field binds its own encoder
+        col = replace(scheme, order="col")
+        assert col.encoder(1, 2) == encode(tiling_scheme(scheme.tiling, "col"), 1, 2)
+
+
+def test_superpose_spec_copies_as_a_plain_value():
+    spec = TransformSpec("superpose", inner=parse_scheme("tiling:const:3x2:parity"),
+                         outer=parse_scheme("center-out"))
+    expected = generate_prefix(spec, identity(), 200)
+    for copy in _copies(spec):
+        assert copy == spec and hash(copy) == hash(spec) and repr(copy) == repr(spec)
+        assert generate_prefix(copy, identity(), 200) == expected

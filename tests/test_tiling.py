@@ -3,7 +3,7 @@ import threading
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridseq import oracle, pairing, schemes, tiling
@@ -278,6 +278,36 @@ def test_list_counts_match_loop_sums(lengths, data):
             assert _outcome(rect_encode, i, j, spec, order) == _outcome(rect_encode, i, j, loop, order)
         for n in positions:
             assert _outcome(rect_decode, n, spec, order) == _outcome(rect_decode, n, loop, order)
+
+
+def _reference_encode(i, j, loop, order):
+    # the checks in their documented order: the cell, the heights split, the
+    # lengths split, then the counts and the side
+    try:
+        pairing._check_cell(i, j)
+        loop.heights.split(i)
+        loop.lengths.split(j)
+    except Exception as exc:  # noqa: BLE001 - the type and message are what is compared
+        return type(exc), str(exc)
+    return _outcome(rect_encode, i, j, loop, order)
+
+
+_coordinates = st.one_of(st.integers(-3, 0), st.integers(1, 60), st.integers(1, 10**30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_rules, _any_rules, st.sampled_from((*tiling.ORDERS, "parity", "column")),
+       st.lists(st.tuples(_coordinates, _coordinates), min_size=1, max_size=8))
+@example(list_rule([1, 3, 1]), list_rule([2, 1]), "row", [(4, 6)])
+def test_bound_encoder_matches_loop_spec(lengths, heights, order, cells):
+    # a scheme's encoder, bound once, gives what rect_encode gives on a spec
+    # that counts by loop sums: the same position, or past a list's end or
+    # off the grid the same exception with the same message; past the end of
+    # both lists, as in the example, the heights' list is the one reported
+    scheme = tiling_scheme(TilingSpec(lengths, heights), order)
+    loop = LoopTilingSpec(lengths, heights)
+    for i, j in cells:
+        assert _outcome(schemes.encode, scheme, i, j) == _reference_encode(i, j, loop, order)
 
 
 @settings(max_examples=150, deadline=None)

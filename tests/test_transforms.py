@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridseq import pairing, schemes, transforms as tr
+from gridseq import pairing, schemes, tiling, transforms as tr
 from gridseq.schemes import RUN_CAP, Scheme, parse_scheme, tiling_scheme
 from gridseq.sources import (
     BudgetExceededError,
@@ -492,6 +492,19 @@ def test_iter_terms_takes_one_square_root(case, monkeypatch):
     roots.clear()
     assert generate_prefix(spec, sources, 10_000) == expected
     assert sorted(roots) in (["diagonal_index", "isqrt"], ["isqrt", "shell_index"]), roots
+
+
+def test_superpose_binds_the_inner_encoder_once(monkeypatch):
+    # the inner tiling's order is resolved when its scheme is built, so no
+    # term of a long superpose prefix resolves it again
+    spec = TransformSpec("superpose", inner=parse_scheme("tiling:const:3x2:row"),
+                         outer=Scheme("center-out"))
+    expected = [direct_term(spec, [IDENT], n) for n in range(1, 5_001)]
+    orders = []
+    canonical = tiling.canonical_order
+    monkeypatch.setattr(tiling, "canonical_order", lambda order: orders.append(order) or canonical(order))
+    assert generate_prefix(spec, IDENT, 5_000) == expected
+    assert orders == []
 
 
 def test_iter_terms_validates_when_called():
