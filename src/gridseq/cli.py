@@ -184,7 +184,7 @@ def _positive(parser, flag, value, minimum=1):
 
 def cmd_encode(parser, args) -> int:
     scheme = _scheme_from_args(parser, args)
-    low = 0 if scheme.kind == "cantor0" else 1
+    low = schemes.first_index(scheme)
     _positive(parser, "--i", args.i, low)
     _positive(parser, "--j", args.j, low)
     print(schemes.encode(scheme, args.i, args.j))
@@ -193,7 +193,7 @@ def cmd_encode(parser, args) -> int:
 
 def cmd_decode(parser, args) -> int:
     scheme = _scheme_from_args(parser, args)
-    _positive(parser, "--n", args.n, 0 if scheme.kind == "cantor0" else 1)
+    _positive(parser, "--n", args.n, schemes.first_index(scheme))
     i, j = schemes.decode(scheme, args.n)
     print(f"{i} {j}")
     return EXIT_OK

@@ -4,44 +4,24 @@ A :class:`Scheme` names one bijection between grid cells and positions:
 one of the eight enumerations, each encoded and decoded in closed form, or
 a rectangle tiling with an inner numbering order.  ``cantor0`` is the
 zero-based classic and works on pairs (x, y) >= 0; every other scheme works
-on 1-based cells.  A scheme binds its encoder once, when it is built
-(``Scheme.encoder``, the closed form or ``tiling.rect_encoder``), so
-:func:`encode` only does the arithmetic of one cell; a scheme and its
-encoder never change and can be shared across threads, and a scheme
-pickles and copies as its three fields.  :func:`walk` streams the cells in
-order from any position.
+on 1-based cells.  A scheme binds its encoder (``Scheme.encoder``) and its
+reader (``Scheme.reader``) once, when it is built, so no encode, decode or
+walk looks at its kind again.  The reader is the triple
+(position, cells, size) over the scheme's blocks: the anti-diagonals or
+square shells of the eight kinds, or the tiles of ``tiling.rect_reader``.
+A scheme, its encoder and its reader never change and can be shared across
+threads, and a scheme pickles and copies as its three fields.
+:func:`walk` streams the cells in order from any position.
 """
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, count, repeat, starmap
+from itertools import chain, repeat, starmap
 
 from . import pairing, tiling
 from .pairing import Cell
 from .tiling import TilingSpec
-
-SIMPLE_KINDS = (
-    "cantor",
-    "cantor0",
-    "boustrophedon",
-    "center-out",
-    "edges-in",
-    "alternating",
-    "angle",
-    "oxplow",
-)
-
-_ENCODERS = {
-    "cantor": pairing.cantor_encode,
-    "cantor0": pairing.cantor_z,
-    "boustrophedon": pairing.boustrophedon_encode,
-    "center-out": pairing.center_out_encode,
-    "edges-in": pairing.edges_in_encode,
-    "alternating": pairing.alternating_encode,
-    "angle": pairing.angle_encode,
-    "oxplow": pairing.oxplow_encode,
-}
 
 
 def _diagonal_size(t: int) -> int:
@@ -54,19 +34,30 @@ def _shell_size(s: int) -> int:
 
 RUN_CAP = 4096  # the most cells in one run of a walk
 
-# kind -> (position, cell, size): position(n) = (t, p) puts n at the p-th
-# cell of block t, an anti-diagonal or a square shell; cell(t, p) is that
-# cell; block t holds size(t) cells.  decode and walk both read this table.
-_READERS = {
-    "cantor": (pairing.diagonal_position, pairing.cantor_cell, _diagonal_size),
-    "cantor0": (pairing.cantor_z_position, pairing.cantor_z_cell, _diagonal_size),
-    "boustrophedon": (pairing.diagonal_position, pairing.boustrophedon_cell, _diagonal_size),
-    "center-out": (pairing.diagonal_position, pairing.center_out_cell, _diagonal_size),
-    "edges-in": (pairing.diagonal_position, pairing.edges_in_cell, _diagonal_size),
-    "alternating": (pairing.diagonal_position, pairing.alternating_cell, _diagonal_size),
-    "angle": (pairing.shell_position, pairing.angle_cell, _shell_size),
-    "oxplow": (pairing.shell_position, pairing.oxplow_cell, _shell_size),
+# kind -> (encode, position, cell, size): encode(i, j) is the closed form;
+# position(n) = (t, p) puts n at the p-th cell of block t, an anti-diagonal
+# or a square shell; cell(t, p) is that cell; block t holds size(t) cells
+_KINDS = {
+    "cantor": (pairing.cantor_encode, pairing.diagonal_position,
+               pairing.cantor_cell, _diagonal_size),
+    "cantor0": (pairing.cantor_z, pairing.cantor_z_position,
+                pairing.cantor_z_cell, _diagonal_size),
+    "boustrophedon": (pairing.boustrophedon_encode, pairing.diagonal_position,
+                      pairing.boustrophedon_cell, _diagonal_size),
+    "center-out": (pairing.center_out_encode, pairing.diagonal_position,
+                   pairing.center_out_cell, _diagonal_size),
+    "edges-in": (pairing.edges_in_encode, pairing.diagonal_position,
+                 pairing.edges_in_cell, _diagonal_size),
+    "alternating": (pairing.alternating_encode, pairing.diagonal_position,
+                    pairing.alternating_cell, _diagonal_size),
+    "angle": (pairing.angle_encode, pairing.shell_position, pairing.angle_cell, _shell_size),
+    "oxplow": (pairing.oxplow_encode, pairing.shell_position, pairing.oxplow_cell, _shell_size),
 }
+SIMPLE_KINDS = tuple(_KINDS)
+
+
+def _block_cells(cell, t: int, p: int, q: int) -> Iterator[Cell]:
+    return map(cell, repeat(t), range(p, q + 1))
 
 
 @dataclass(frozen=True)
@@ -74,8 +65,9 @@ class Scheme:
     kind: str
     tiling: TilingSpec | None = None
     order: str = "row"
-    # (i, j) -> position, bound once here; not part of the value
+    # (i, j) -> position and the reader, bound once here; not part of the value
     encoder: Callable[[int, int], int] = field(init=False, repr=False, compare=False)
+    reader: tuple[Callable, Callable, Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "tiling":
@@ -83,16 +75,19 @@ class Scheme:
                 raise ValueError("tiling scheme needs a TilingSpec")
             object.__setattr__(self, "order", tiling.canonical_order(self.order))
             encoder = tiling.rect_encoder(self.tiling, self.order)
-        elif self.kind not in SIMPLE_KINDS:
+            reader = tiling.rect_reader(self.tiling, self.order)
+        elif self.kind not in _KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         elif self.tiling is not None or self.order != "row":
             raise ValueError(f"scheme {self.kind!r} takes no tiling and no inner order")
         else:
-            encoder = _ENCODERS[self.kind]
+            encoder, position, cell, size = _KINDS[self.kind]
+            reader = position, partial(_block_cells, cell), size
         object.__setattr__(self, "encoder", encoder)
+        object.__setattr__(self, "reader", reader)
 
     def __reduce__(self):
-        # rebuilt from its fields, so the bound encoder is never pickled
+        # rebuilt from its fields, so the bound encoder and reader are never pickled
         return type(self), (self.kind, self.tiling, self.order)
 
     def text(self) -> str:
@@ -139,38 +134,31 @@ def encode(scheme: Scheme, i: int, j: int) -> int:
 
 
 def decode(scheme: Scheme, n: int) -> Cell:
-    """Cell at position n under the scheme."""
-    if scheme.kind == "tiling":
-        return tiling.rect_decode(n, scheme.tiling, scheme.order)
-    position, cell, _ = _READERS[scheme.kind]
-    return cell(*position(n))
+    """Cell at position n under the scheme: its reader's block and place of n, then that cell."""
+    position, cells, _ = scheme.reader
+    t, p = position(n)
+    return next(cells(t, p, p))
 
 
 def walk(scheme: Scheme, start: int | None = None) -> Iterator[Cell]:
     """The scheme's cells in order, from position ``start`` on (default: the first).
 
-    The diagonal and shell kinds locate ``start`` once, as :func:`decode`
-    does, then step through each diagonal or shell with the same cell
-    formula, so no cell after the first costs a square root.  Tilings
-    decode position by position.  A bad ``start`` raises here, not on the
-    first ``next``.
+    The walk locates ``start`` once, as :func:`decode` does, then reads on
+    through each diagonal, shell or tile with the same reader, so no cell
+    after the first costs a square root or a bisection.
+    A bad ``start`` raises here, not on the first ``next``.
     """
-    if scheme.kind == "tiling":
-        start = first_index(scheme) if start is None else start
-        if start < 1:
-            raise ValueError(f"position must be >= 1, got {start}")
-        return map(partial(decode, scheme), count(start))
-    return chain.from_iterable(starmap(partial(run_cells, scheme), runs(scheme, start)))
+    return chain.from_iterable(starmap(scheme.reader[1], runs(scheme, start)))
 
 
 def runs(scheme: Scheme, start: int | None = None) -> Iterator[tuple[int, int, int]]:
-    """The walk of a diagonal or shell kind as runs (t, p, q): cells p..q of block t.
+    """The scheme's walk as runs (t, p, q): cells p..q of block t, a diagonal, shell or tile.
 
     The first run is one cell and each next run at most twice as long, up
     to ``RUN_CAP`` cells, so that a reader that stops early has read little
     past where it stopped.  A bad ``start`` raises here.
     """
-    position, _, size = _READERS[scheme.kind]
+    position, _, size = scheme.reader
     return _runs(size, *position(first_index(scheme) if start is None else start))
 
 
@@ -186,5 +174,5 @@ def _runs(size, t: int, p: int) -> Iterator[tuple[int, int, int]]:
 
 
 def run_cells(scheme: Scheme, t: int, p: int, q: int) -> Iterator[Cell]:
-    """Cells p..q of the diagonal or shell t, in the scheme's order."""
-    return map(_READERS[scheme.kind][1], repeat(t), range(p, q + 1))
+    """Cells p..q of block t, a diagonal, shell or tile, in the scheme's order."""
+    return scheme.reader[1](t, p, q)

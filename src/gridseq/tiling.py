@@ -12,16 +12,16 @@ constant rule is a ramp with step 0, so every count has two paths: exact
 polynomials when neither rule is a list, and otherwise one O(d) product
 sum over the side tuples each rule holds (a list's sides and side sums,
 an affine rule's sides laid out as a range), with no per-diagonal table.
-Encoding evaluates the counts once; decoding bisects them, O(log n)
-evaluations.  Rules and specs never change after construction, so they
-can be shared freely across threads.
+Encoding evaluates the counts once; :func:`rect_reader` bisects them to
+place a position, O(log n) evaluations, then walks on tile by tile with no
+count.  Rules and specs never change, so they can be shared across threads.
 """
 
 from bisect import bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import isqrt
 from operator import mul
 
@@ -330,29 +330,51 @@ def _last_below(count, n: int, hi: int) -> tuple[int, int]:
     return lo, below
 
 
-def rect_decode(n: int, spec: TilingSpec, order: str = "row") -> Cell:
-    """Cell at position n: bisect for its tile diagonal, then its tile, then index inside it."""
-    _check_index(n)
+def rect_reader(spec: TilingSpec, order: str = "row") -> tuple[Callable, Callable, Callable]:
+    """The reader (position, cells, size) that walks the tiling tile by tile.
+
+    Tile T is tile (R, S) = ``cantor_z_decode(T)``; ``position(n)`` = (T, p)
+    puts n at place p of tile T, and ``cells(T, p, q)`` gives places p..q in
+    ``order``, reading the tile's origin and side once.  Tile T has ``size(T)`` cells.
+    """
     order = canonical_order(order)
-    if spec._coeffs is None:
-        # lists of L sides complete tile diagonals 0..L-1 and no more
-        flat, hi = 1, min(len(rule.values) for rule in (spec.lengths, spec.heights) if not rule.affine)
-        if spec._cells_before(hi) < n:
-            short = spec.lengths if len(spec.lengths.values) == hi else spec.heights
-            raise short._exhausted(hi + 1)
-    else:
-        # no tile has fewer than A*C cells, so n lies no further out than on
-        # a cover by A x C tiles, whose diagonals are triangular
-        A, _, C, _ = spec._coeffs
-        flat = A * C
-        hi = diagonal_index(-(-n // flat)) + 1
-    d, before = _last_below(spec._cells_before, n, hi)
-    q = n - before
-    R, above = _last_below(partial(spec._cells_above, d), q, min(d, (q - 1) // flat) + 1)
-    q -= above + 1  # 0-based offset inside tile (R, d - R)
-    S = d - R
-    if _colwise(order, R, S):
-        dj, di = divmod(q, spec.height(R + 1))
-    else:
-        di, dj = divmod(q, spec.length(S + 1))
-    return spec.hsum(R) + 1 + di, spec.lsum(S) + 1 + dj
+    height, hsum = spec.heights.side, spec.heights.total
+    length, lsum = spec.lengths.side, spec.lengths.total
+    # no tile has fewer than A*C cells, so n lies no further out than on a cover
+    # by A x C tiles, whose diagonals are triangular; lists of L sides complete
+    # tile diagonals 0..L-1, and diagonal L up to its first tile with a missing side
+    flat = spec._coeffs[0] * spec._coeffs[2] if spec._coeffs else 1
+    sides = [len(rule.values) for rule in (spec.lengths, spec.heights) if not rule.affine]
+
+    def position(n: int) -> tuple[int, int]:
+        _check_index(n)
+        hi = min(sides) + 1 if sides else diagonal_index(-(-n // flat)) + 1
+        d, before = _last_below(spec._cells_before, n, hi)
+        q = n - before
+        R, above = _last_below(partial(spec._cells_above, d), q, min(d, (q - 1) // flat) + 1)
+        height(R + 1), length(d - R + 1)  # past a list's end, raise as the geometric walk does
+        return cantor_z(R, d - R), q - above
+
+    def tile(T: int) -> tuple[int, int]:  # cantor_z_decode(T), with no checks
+        d = (isqrt(8 * T + 1) - 1) // 2
+        return T - d * (d + 1) // 2, d * (d + 3) // 2 - T
+
+    def cells(T: int, p: int, q: int) -> Iterator[Cell]:
+        R, S = tile(T)
+        i0, j0 = hsum(R) + 1, lsum(S) + 1
+        if _colwise(order, R, S):  # place x of a tile h high is (x mod h, x div h)
+            return ((i0 + di, j0 + dj) for dj, di in map(divmod, range(p - 1, q), repeat(height(R + 1))))
+        return ((i0 + di, j0 + dj) for di, dj in map(divmod, range(p - 1, q), repeat(length(S + 1))))
+
+    def size(T: int) -> int:
+        R, S = tile(T)
+        return height(R + 1) * length(S + 1)
+
+    return position, cells, size
+
+
+def rect_decode(n: int, spec: TilingSpec, order: str = "row") -> Cell:
+    """Cell at position n: ``rect_reader(spec, order)``'s tile and place of n, then that cell."""
+    position, cells, _ = rect_reader(spec, order)
+    T, p = position(n)
+    return next(cells(T, p, p))

@@ -29,7 +29,7 @@ block rule maps the source over the diagonal before and adds cell
 (:func:`schemes.runs`) through the block rule, and redoes a run cell by
 cell through the array rule when a batched read fails, so a failure names
 the same cell and index as the array rule does.  Rows with no block rule
-apply the array rule along :func:`schemes.walk`.  :func:`term` builds
+apply the array rule over each run's cells.  :func:`term` builds
 only the array rule and applies it to the one cell :func:`schemes.decode`
 gives.
 
@@ -723,22 +723,21 @@ def iter_terms(spec: TransformSpec, sources, start: int = 1) -> Iterator[int]:
 
     The spec, the sources and ``start`` are checked when this is called; the
     terms are computed as they are read, a run of at most
-    ``schemes.RUN_CAP`` cells at a time through the block rule, or a cell
-    at a time through the array rule.
+    ``schemes.RUN_CAP`` cells at a time through the block rule, or through
+    the array rule over the run's cells when the row has no block rule.
     """
     row, src, reader = _bind(spec, sources)
-    cell, block = row.rule(spec, src), row.block and row.block(spec, src)
-    if block is None:
-        return starmap(cell, _schemes.walk(reader, start))
-    return chain.from_iterable(_block_runs(cell, block, reader, _schemes.runs(reader, start)))
+    cell, cells = row.rule(spec, src), reader.reader[1]
+    block = row.block and row.block(spec, src) or (lambda t, p, q: starmap(cell, cells(t, p, q)))
+    return chain.from_iterable(_block_runs(cell, block, cells, _schemes.runs(reader, start)))
 
 
-def _block_runs(cell, block, reader, runs) -> Iterator[Sequence[int]]:
+def _block_runs(cell, block, cells, runs) -> Iterator[Sequence[int]]:
     for t, p, q in runs:
         try:
             yield block(t, p, q)
         except Exception:  # noqa: BLE001 - the array rule raises the exact error
-            yield starmap(cell, _schemes.run_cells(reader, t, p, q))
+            yield starmap(cell, cells(t, p, q))
 
 
 def generate_prefix(spec: TransformSpec, sources, count: int) -> list[int]:

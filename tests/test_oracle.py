@@ -139,6 +139,8 @@ def test_traversal_code_is_formula_free():
         "_last_below",
         "sides(",
         "totals(",
+        "rect_reader",
+        ".reader",
     )
     for name in forbidden:
         assert name not in walk_code, f"oracle walk references {name}"

@@ -21,6 +21,7 @@ from gridseq.schemes import (
 from gridseq.sources import identity
 from gridseq.tiling import ORDERS
 from gridseq.transforms import TransformSpec, generate_prefix
+from support import describe, outcome
 
 # every kind, and const, ramp and list tilings under every order
 VALUE_SCHEMES = [Scheme(kind) for kind in SIMPLE_KINDS] + [
@@ -67,8 +68,19 @@ def test_first_index():
     assert first_index(tiling_scheme("const:2x2")) == 1
 
 
-def test_dispatch_tables_cover_every_kind():
-    assert set(schemes._READERS) == set(schemes._ENCODERS) == set(SIMPLE_KINDS)
+def test_every_kind_binds_an_encoder_and_a_reader():
+    # one table holds the eight kinds, so no second table can drift from it;
+    # a tiling binds both from its spec and order, and the reader's cell at a
+    # position encodes back to it
+    assert SIMPLE_KINDS == tuple(schemes._KINDS)
+    tilings = [tiling_scheme(text) for text in ("const:3x2", "ramp:1+1x2+1", "list:3,1,4x2,7,1")]
+    for scheme in [Scheme(kind) for kind in SIMPLE_KINDS] + tilings:
+        position, cells, size = scheme.reader
+        for n in range(first_index(scheme), 40):
+            t, p = position(n)
+            assert 1 <= p <= size(t)
+            (cell,) = cells(t, p, p)
+            assert scheme.encoder(*cell) == n and decode(scheme, n) == cell, (scheme, n)
 
 
 def test_decode_by_search_examples():
@@ -156,14 +168,23 @@ def _copies(value):
     return [*pickled, deepcopy(value), replace(value)]
 
 
+def _first_cells(scheme, count=50):
+    """The walk's first ``count`` cells, and the failure that ends it sooner, if any."""
+    cells, exc = outcome(islice(walk(scheme), count))
+    return cells, describe(exc, len(cells) + 1)
+
+
 @pytest.mark.parametrize("scheme", VALUE_SCHEMES, ids=str)
 def test_scheme_copies_as_a_plain_value(scheme):
-    # the bound encoder is not part of the value: a copy is rebuilt from the
-    # three fields, compares and hashes equal, and encodes the same
+    # the bound encoder and reader are not part of the value: a copy is
+    # rebuilt from the three fields, compares and hashes equal, encodes the
+    # same and walks the same (the list spec runs out after 47 cells)
     cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+    walked = _first_cells(scheme)
     for copy in _copies(scheme):
         assert copy == scheme and hash(copy) == hash(scheme) and repr(copy) == repr(scheme)
         assert [copy.encoder(i, j) for i, j in cells] == [encode(scheme, i, j) for i, j in cells]
+        assert _first_cells(copy) == walked
     if scheme.kind == "tiling":  # a replaced field binds its own encoder
         col = replace(scheme, order="col")
         assert col.encoder(1, 2) == encode(tiling_scheme(scheme.tiling, "col"), 1, 2)

@@ -19,7 +19,7 @@ from gridseq.tiling import (
     rect_decode,
     rect_encode,
 )
-from support import CONST32_TILING_CELLS, RAMP_TILING_CELLS, LoopTilingSpec
+from support import CONST32_TILING_CELLS, RAMP_TILING_CELLS, LoopTilingSpec, describe, outcome
 
 CONST32 = parse_tiling_spec("const:3x2")
 CONST22 = parse_tiling_spec("const:2x2")
@@ -232,9 +232,11 @@ def test_closed_forms_match_list_sums(lengths, heights, sides, data):
                 assert rect_decode(n, spec, order) == cell, (spec, order, n)
             for spec in (affine, listed, mixed):
                 assert rect_encode(*cell, spec, order) == n
-    for spec in (listed, mixed):
-        with pytest.raises(SpecExhaustedError):
-            rect_decode(reach + 1, spec)
+    with pytest.raises(SpecExhaustedError):
+        rect_decode(reach + 1, listed)
+    # mixed's lengths never run out, so its tiles go on along tile diagonal
+    # ``sides`` up to the first one past the end of its heights list
+    assert rect_decode(reach + 1, mixed) == oracle.traverse(tiling_scheme(mixed), reach + 1)[-1]
 
 
 _list_rules = st.lists(st.integers(1, 5), min_size=1, max_size=8).map(list_rule)
@@ -332,6 +334,73 @@ def test_walk_from_any_start_matches_decode_and_oracle(text, order, start, lengt
     cells = list(islice(schemes.walk(scheme, start), length))
     assert cells == [schemes.decode(scheme, n) for n in range(start, start + length)]
     assert cells == oracle.traverse(scheme, start + length - 1)[start - 1:]
+
+
+def _walk_from(scheme, start, length):
+    # lazily, so that a start the walk refuses fails where a decode would
+    yield from islice(schemes.walk(scheme, start), length)
+
+
+def _read(cells, start=1):
+    """(the cells before the first failure, the failure's type, message and position)."""
+    got, exc = outcome(cells)
+    return got, describe(exc, start + len(got))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_list_rules, _any_rules, st.booleans(), st.sampled_from(tiling.ORDERS), st.data())
+@example(list_rule([1, 2, 3, 4, 5]), list_rule([1, 2]), False, "row", None)
+@example(list_rule([1, 2]), list_rule([1, 2, 3, 4, 5]), False, "col", None)
+@example(list_rule([3, 1, 2]), ramp_rule(1), True, "parity-tile", None)
+def test_list_tilings_read_every_tile_the_oracle_reads(listed, other, swap, order, data):
+    # past the end of its shorter list a spec still holds the tiles of the
+    # next tile diagonal up to the first one with a missing side, in the
+    # oracle's order; decode, walk and encode read exactly those cells, and
+    # past them raise what the oracle raises, at the same position
+    lengths, heights = (other, listed) if swap else (listed, other)
+    scheme = tiling_scheme(TilingSpec(lengths, heights), order)
+    cells, failure = _read(oracle.iter_cells(scheme))
+    assert failure is not None and failure[0] is SpecExhaustedError
+    reach = len(cells)
+    assert _read(schemes.decode(scheme, n) for n in range(1, reach + 4)) == (cells, failure)
+    assert _read(schemes.walk(scheme)) == (cells, failure)
+    starts = [1, reach, reach + 1, reach + 9] if data is None else data.draw(
+        st.lists(st.integers(1, reach + 9), min_size=1, max_size=4))
+    for start in starts:
+        walked = _read(_walk_from(scheme, start, reach + 9), start)
+        assert walked == (cells[start - 1:], (*failure[:3], max(start, reach + 1)))
+    assert [schemes.encode(scheme, *cell) for cell in cells] == list(range(1, reach + 1))
+
+
+_far_starts = st.one_of(st.integers(1, 400), st.integers(1, 10**30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_rules, _any_rules, st.sampled_from((*tiling.ORDERS, "parity", "column")),
+       _far_starts, st.integers(1, 120))
+def test_walk_steps_where_decode_lands(lengths, heights, order, start, length):
+    # the walk places its start once and then steps tile by tile: across tile
+    # ends, tile diagonals and a list's end it must land, and fail, where
+    # decoding each position lands and fails
+    scheme = tiling_scheme(TilingSpec(lengths, heights), order)
+    decoded = (schemes.decode(scheme, n) for n in range(start, start + length))
+    assert _read(_walk_from(scheme, start, length), start) == _read(decoded, start)
+
+
+@pytest.mark.parametrize("text", ("const:3x2", "ramp:1+1x1+1"))
+@pytest.mark.parametrize("start", (1, 10**30))
+def test_walk_bisects_only_for_its_start(text, start, monkeypatch):
+    # a walk bisects the counts to place its start and then steps: over 20k
+    # cells and many tiles, two bisections in all (the tile diagonal, then
+    # the tile), where decoding each position would take two per cell
+    scheme = tiling_scheme(text, "parity-tile")
+    expected = [schemes.decode(scheme, n) for n in (start, start + 9_999, start + 19_999)]
+    calls = []
+    last_below = tiling._last_below
+    monkeypatch.setattr(tiling, "_last_below", lambda *args: calls.append(args) or last_below(*args))
+    cells = list(islice(schemes.walk(scheme, start), 20_000))
+    assert [cells[0], cells[9_999], cells[19_999]] == expected
+    assert len(calls) == 2
 
 
 def _specs():
