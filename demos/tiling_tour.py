@@ -4,10 +4,11 @@ Shows how a cover by tiles numbers the grid under the three inner orders,
 and how reading one enumeration out through another transforms a sequence.
 """
 
+from itertools import islice
+
 from gridseq import oracle, transforms as tr
-from gridseq.schemes import encode, parse_scheme, tiling_scheme
+from gridseq.schemes import encode, parse_scheme, tiling_scheme, walk
 from gridseq.sources import identity
-from gridseq.tiling import parse_tiling_spec, rect_decode
 
 
 def corner(scheme, rows=6, cols=9):
@@ -24,9 +25,8 @@ def main():
             print(f"{scheme}  ({'ok' if report.ok else report})")
             corner(scheme)
 
-    spec = parse_tiling_spec("list:2,1,3x1,2,2")
     print("an explicit finite cover, decoded back cell by cell:")
-    cells = [rect_decode(n, spec, "row") for n in range(1, 13)]
+    cells = islice(walk(tiling_scheme("list:2,1,3x1,2,2", "row")), 12)
     print("  ", " ".join(f"{i},{j}" for i, j in cells))
 
     print("\nsuperposition: place by 3x2 tiles row-wise, read out centre-out:")

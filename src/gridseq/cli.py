@@ -9,7 +9,6 @@ reference data, 5 network failure in online mode.
 """
 
 import argparse
-import json
 import sys
 from itertools import islice
 
@@ -26,7 +25,7 @@ EXIT_SOURCE = 3
 EXIT_INSUFFICIENT = 4
 EXIT_NETWORK = 5
 
-OUTPUT_CHUNK = 4096  # terms joined into one write by generate
+OUTPUT_CHUNK = 4096  # terms generate reads and formats into one string at a time
 
 # the input-sequence flags a family reads, by its source count
 _SOURCE_FLAGS = {0: (), 1: ("alpha",), 2: ("alpha", "beta"), SEVERAL: ("sources",)}
@@ -212,42 +211,59 @@ def _generate_terms(parser, args) -> list[int] | int:
     return terms
 
 
-def _first_unprintable(terms: list[int], limit: int) -> int | None:
-    """Position of the first term with more than ``limit`` decimal digits, if any.
+def _first_unprintable(terms: list[int], limit: int) -> int:
+    """Position of the first term with more than ``limit`` decimal digits, in
+    a chunk that holds one.
 
     An int of at most 3 * limit bits is below 8**limit, so it has at most
     ``limit`` digits; only longer ones are tried, and str refuses those
     over the limit before converting anything.
     """
-    if not limit or max(map(int.bit_length, terms)) <= 3 * limit:
-        return None
     for n, v in enumerate(terms, 1):
         if v.bit_length() > 3 * limit:
             try:
                 str(v)
             except ValueError:
                 return n
-    return None
 
 
 def cmd_generate(parser, args) -> int:
-    terms = _generate_terms(parser, args)
-    if isinstance(terms, int):
-        return terms
-    # CPython refuses to turn an int of more digits than its limit into a
-    # string; find such a term before anything is written
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    n = _first_unprintable(terms, limit)
-    if n is not None:
-        print(f"error at n={n}: the term has more than {limit} decimal digits, "
-              "too many to print", file=sys.stderr)
+    spec, srcs = _transform_from_args(parser, args)
+    _positive(parser, "--count", args.count)
+    template = '"%d", ' if args.format == "json" else "%d\n"
+    texts = []  # each chunk's text, written once the whole prefix is known to succeed
+    unprintable = None  # the error of the first term too long to print
+    start, chunk = 0, []
+    try:
+        terms = transforms.iter_terms(spec, srcs)
+        for start in range(0, args.count, OUTPUT_CHUNK):
+            chunk = []
+            # extend keeps the terms made before a failure: they number n - 1
+            chunk.extend(islice(terms, min(OUTPUT_CHUNK, args.count - start)))
+            if unprintable is not None:
+                continue  # a source error further on is still the one reported
+            try:
+                texts.append((template * len(chunk)) % tuple(chunk))
+            except ValueError:
+                # CPython's %d refuses an int of more digits than its limit
+                limit = (sys.get_int_max_str_digits()
+                         if hasattr(sys, "get_int_max_str_digits") else 0)
+                unprintable = (f"error at n={start + _first_unprintable(chunk, limit)}: the term "
+                               f"has more than {limit} decimal digits, too many to print")
+                texts.clear()
+    except (SourceError, SpecExhaustedError) as exc:
+        print(f"error at n={start + len(chunk) + 1}: {exc}", file=sys.stderr)
         return EXIT_SOURCE
-    if args.format == "json":
-        print(json.dumps([str(v) for v in terms]))
-        return EXIT_OK
+    if unprintable is not None:
+        print(unprintable, file=sys.stderr)
+        return EXIT_SOURCE
     write = sys.stdout.write
-    for start in range(0, len(terms), OUTPUT_CHUNK):
-        write("\n".join(map(str, terms[start:start + OUTPUT_CHUNK])) + "\n")
+    if args.format == "json":
+        texts[-1] = texts[-1][:-2]  # no separator after the last value
+        write("[")
+        texts.append("]\n")
+    for text in texts:
+        write(text)
     return EXIT_OK
 
 

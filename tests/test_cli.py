@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +166,107 @@ def test_generate_budget_exit3(capsys):
                          "--k", "2200", "--count", "5000")
     assert (code, out) == (3, "")
     assert err.startswith("error at n=4096: ")
+
+
+CANTOR = list(islice(oracle.iter_cells(Scheme("cantor")), 9000))
+
+
+def _list_source(values):
+    return "list:" + ",".join(map(str, values))
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("rows, chunk", [(100, 2), (127, 3)])
+def test_generate_source_error_past_the_first_chunk(capsys, fmt, rows, chunk):
+    # reluctant reads row i; the first row past the list is in a later chunk
+    first_bad = next(n for n, (i, j) in enumerate(CANTOR, 1) if i > rows)
+    assert (first_bad - 1) // cli.OUTPUT_CHUNK + 1 == chunk
+    code, out, err = run(capsys, "generate", "--family", "reluctant",
+                         "--alpha", _list_source(range(1, rows + 1)),
+                         "--count", "9000", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error at n={first_bad}: ")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_generate_source_error_wins_over_an_earlier_unprintable_term(capsys, fmt):
+    # alpha(i)**2500 + j**2500: 53**2500 has more decimal digits than CPython
+    # prints by default, 52**2500 fewer; alpha runs out at row 101, in chunk 2
+    first_long = next(n for n, (i, j) in enumerate(CANTOR, 1) if max(i, j) >= 53)
+    first_bad = next(n for n, (i, j) in enumerate(CANTOR, 1) if i > 100)
+    assert first_long <= cli.OUTPUT_CHUNK < first_bad <= 2 * cli.OUTPUT_CHUNK
+    code, out, err = run(capsys, "generate", "--family", "pair", "--combiner", "power-sum",
+                         "--k", "2500", "--alpha", _list_source(range(1, 101)), "--beta", "id",
+                         "--count", "6000", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error at n={first_bad}: ")
+    # with a source that does not run out, the long term is the error
+    code, out, err = run(capsys, "generate", "--family", "pair", "--combiner", "power-sum",
+                         "--k", "2500", "--count", "6000", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error at n={first_long}: the term has more than ")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_generate_unprintable_first_term_of_chunk_two(capsys, fmt):
+    # alpha(2) * beta(90) = 10**4400 is the first term over the digit limit,
+    # at cell (2, 90); every term before it has at most 2203 digits
+    big = 10**2200
+    alpha = [big if i == 2 else i for i in range(1, 101)]
+    beta = [big if j == 90 else j for j in range(1, 101)]
+    first_long = CANTOR.index((2, 90)) + 1
+    assert first_long == cli.OUTPUT_CHUNK + 1
+    code, out, err = run(capsys, "generate", "--family", "pair", "--alpha", _list_source(alpha),
+                         "--beta", _list_source(beta), "--count", "4200", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error at n={first_long}: the term has more than ")
+
+
+# negative terms, and terms past 64 bits of both signs
+SIGNED = _list_source((-1) ** k * k**9 for k in range(1, 131))
+BYTE_CASES = {
+    "signed-product": ["--family", "pair", "--alpha", SIGNED,
+                       "--beta", _list_source(range(-60, 70))],
+    "power-sum": ["--family", "pair", "--combiner", "power-sum", "--k", "7",
+                  "--alpha", "geo:10", "--beta", "id"],
+}
+
+
+@pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("case", sorted(BYTE_CASES))
+def test_generate_output_bytes_match_str_and_json_dumps(capsys, case, count):
+    argv = ["generate", *BYTE_CASES[case], "--count", str(count)]
+    args = cli.build_parser().parse_args(argv)
+    spec, sources = cli._transform_from_args(args.command_parser, args)
+    terms = generate_prefix(spec, sources, count)
+    assert max(abs(v) for v in terms).bit_length() > 64
+    assert (min(terms) < 0) == (case == "signed-product")
+    assert run(capsys, *argv) == (0, "\n".join(map(str, terms)) + "\n", "")
+    assert run(capsys, *argv, "--format", "json") == (0, json.dumps([str(v) for v in terms]) + "\n", "")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("fmt, per_term", [("plain", 12), ("json", 24)])
+def test_generate_memory_grows_only_with_the_text(fmt, per_term):
+    # peak RSS of a fresh interpreter at 100k and at 1M terms; the ints are
+    # dropped chunk by chunk, so what grows is the formatted text alone.
+    # VmHWM is the peak of the interpreter's own memory: ru_maxrss after exec
+    # starts from the RSS of the process that spawned it.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
+            "from gridseq import cli; sys.stdout = open(os.devnull, 'w'); "
+            "cli.main(['generate', '--family', 'shifted-columns', '--k', '3', '--alpha', 'id', "
+            "'--count', sys.argv[2], '--format', sys.argv[3]]); sys.stdout.close(); "
+            "print(*[line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')], file=sys.stderr)")
+
+    def peak_bytes(count):
+        done = subprocess.run([sys.executable, "-I", "-c", code, src, str(count), fmt],
+                              capture_output=True, text=True, timeout=120, check=True)
+        return int(done.stderr) * 1024
+
+    grown = (peak_bytes(1_000_000) - peak_bytes(100_000)) / 900_000
+    assert grown < per_term, f"{grown:.1f} bytes per term"
 
 
 def test_verify(capsys):
