@@ -2,9 +2,10 @@
 
 Subcommands: ``encode``, ``decode``, ``generate``, ``verify``,
 ``oeis-check``.  Exit codes: 0 success, 1 verification or comparison
-mismatch, 2 bad arguments, 3 a source ran out, hit a value budget, or
-produced an unusable term, e.g. a non-positive term where an index or
-concatenation needs one (the failing position is reported), 4 not enough
+mismatch, 2 bad arguments (the message names the flag), 3 a source ran
+out, hit a value budget, or produced an unusable term, e.g. a non-positive
+term where an index or concatenation needs one (the failing position is
+reported, by ``oeis-check`` before any b-file is read), 4 not enough
 reference data, 5 network failure in online mode.
 """
 
@@ -13,9 +14,9 @@ import sys
 from itertools import islice
 
 from . import oeis, oracle, schemes, transforms
-from .schemes import SIMPLE_KINDS, Scheme, parse_scheme, tiling_scheme
+from .schemes import Scheme, parse_scheme, tiling_scheme
 from .sources import SourceError, parse_source
-from .tiling import ORDERS, SpecExhaustedError
+from .tiling import ORDERS, SpecExhaustedError, parse_tiling_spec
 from .transforms import COMBINERS, CONVENTIONS, FAMILIES, FAMILY_TABLE, SEVERAL, TransformSpec
 
 EXIT_OK = 0
@@ -25,7 +26,7 @@ EXIT_SOURCE = 3
 EXIT_INSUFFICIENT = 4
 EXIT_NETWORK = 5
 
-OUTPUT_CHUNK = 4096  # terms generate reads and formats into one string at a time
+OUTPUT_CHUNK = 4096  # terms read at a time; generate formats each chunk into one string
 
 # the input-sequence flags a family reads, by its source count
 _SOURCE_FLAGS = {0: (), 1: ("alpha",), 2: ("alpha", "beta"), SEVERAL: ("sources",)}
@@ -53,37 +54,25 @@ def _add_scheme_flags(sub):
     sub.add_argument("--order", help=f"tiling inner order: {', '.join(ORDERS)} (default row)")
 
 
+def _parsed(parser, flag, parse, *args):
+    """parse(*args), with a ValueError or OSError refused as a usage error of ``flag``."""
+    try:
+        return parse(*args)
+    except (ValueError, OSError) as exc:
+        parser.error(f"{flag}: {exc}")
+
+
 def _scheme_from_args(parser, args) -> Scheme:
     if args.scheme != "tiling":
         for flag in ("spec", "order"):
             if getattr(args, flag) is not None:
                 parser.error(f"--{flag} is read only with --scheme tiling")
-    elif not args.spec:
+        return _parsed(parser, "--scheme", parse_scheme, args.scheme)
+    if not args.spec:
         parser.error("--spec is required with --scheme tiling")
-    try:
-        if args.scheme == "tiling":
-            return tiling_scheme(args.spec, "row" if args.order is None else args.order)
-        if args.scheme.startswith("tiling:"):
-            return parse_scheme(args.scheme)
-        if args.scheme not in SIMPLE_KINDS:
-            parser.error(f"--scheme: unknown scheme {args.scheme!r}")
-        return Scheme(args.scheme)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _parse_schemeish(parser, flag, text) -> Scheme:
-    try:
-        return parse_scheme(text)
-    except ValueError as exc:
-        parser.error(f"{flag}: {exc}")
-
-
-def _source(parser, flag, text):
-    try:
-        return parse_source(text)
-    except (ValueError, OSError) as exc:
-        parser.error(f"{flag}: {exc}")
+    spec = _parsed(parser, "--spec", parse_tiling_spec, args.spec)
+    order = "row" if args.order is None else args.order
+    return _parsed(parser, "--order", tiling_scheme, spec, order)
 
 
 def _transform_from_args(parser, args) -> tuple[TransformSpec, list]:
@@ -103,13 +92,13 @@ def _transform_from_args(parser, args) -> tuple[TransformSpec, list]:
         d=value["d"],
         combiner=value["combiner"],
         convention=value["convention"],
-        inner=None if args.inner is None else _parse_schemeish(parser, "--inner", args.inner),
-        outer=None if args.outer is None else _parse_schemeish(parser, "--outer", args.outer),
+        inner=None if args.inner is None else _parsed(parser, "--inner", parse_scheme, args.inner),
+        outer=None if args.outer is None else _parsed(parser, "--outer", parse_scheme, args.outer),
     )
     if family.sources == SEVERAL:
-        return spec, [_source(parser, "--sources", s) for s in args.sources or ()]
+        return spec, [_parsed(parser, "--sources", parse_source, s) for s in args.sources or ()]
     flags = (("--alpha", value["alpha"]), ("--beta", value["beta"]))[:family.sources]
-    return spec, [_source(parser, flag, text) for flag, text in flags]
+    return spec, [_parsed(parser, flag, parse_source, text) for flag, text in flags]
 
 
 def _family_flags() -> argparse.ArgumentParser:
@@ -140,31 +129,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, **keywords) -> argparse.ArgumentParser:
+    def command(name, handler, **keywords) -> argparse.ArgumentParser:
         # the subcommand's parser reports the usage errors found after parsing
         sub = subparsers.add_parser(name, **keywords)
-        sub.set_defaults(command_parser=sub)
+        sub.set_defaults(handler=handler, command_parser=sub)
         return sub
 
-    p = command("encode", help="position of a grid cell under a scheme")
+    p = command("encode", cmd_encode, help="position of a grid cell under a scheme")
     _add_scheme_flags(p)
     p.add_argument("--i", type=int, required=True, help="row (0-based for cantor0)")
     p.add_argument("--j", type=int, required=True, help="column (0-based for cantor0)")
 
-    p = command("decode", help="grid cell at a position under a scheme")
+    p = command("decode", cmd_decode, help="grid cell at a position under a scheme")
     _add_scheme_flags(p)
     p.add_argument("--n", type=int, required=True)
 
     family_flags = _family_flags()
-    p = command("generate", parents=[family_flags], help="first terms of a transformed sequence")
+    p = command("generate", cmd_generate, parents=[family_flags],
+                help="first terms of a transformed sequence")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", default="plain", choices=("plain", "json"))
 
-    p = command("verify", help="check a scheme's formulas against the geometric walk")
+    p = command("verify", cmd_verify, help="check a scheme's formulas against the geometric walk")
     _add_scheme_flags(p)
     p.add_argument("--n-max", type=int, required=True)
 
-    p = command("oeis-check", parents=[family_flags],
+    p = command("oeis-check", cmd_oeis_check, parents=[family_flags],
                 help="compare a generated prefix against OEIS reference data")
     p.add_argument("--anum", required=True, help="A-number, e.g. A002260")
     p.add_argument("--count", type=int, default=100)
@@ -198,17 +188,26 @@ def cmd_decode(parser, args) -> int:
     return EXIT_OK
 
 
-def _generate_terms(parser, args) -> list[int] | int:
+def _prefix(parser, args):
+    """The first ``--count`` terms, as (start, chunk): chunk holds terms start + 1 on,
+    at most ``OUTPUT_CHUNK`` of them.
+
+    A source or spec error is reported on stderr at the position of the
+    term that failed, and ends the stream with a ``None`` chunk.
+    """
     spec, srcs = _transform_from_args(parser, args)
     _positive(parser, "--count", args.count)
-    terms = []
+    start, chunk = 0, []
     try:
-        # extend keeps the terms made before a failure: they number n - 1
-        terms.extend(islice(transforms.iter_terms(spec, srcs), args.count))
+        terms = transforms.iter_terms(spec, srcs)
+        for start in range(0, args.count, OUTPUT_CHUNK):
+            chunk = []
+            # extend keeps the terms made before a failure: they number n - 1
+            chunk.extend(islice(terms, min(OUTPUT_CHUNK, args.count - start)))
+            yield start, chunk
     except (SourceError, SpecExhaustedError) as exc:
-        print(f"error at n={len(terms) + 1}: {exc}", file=sys.stderr)
-        return EXIT_SOURCE
-    return terms
+        print(f"error at n={start + len(chunk) + 1}: {exc}", file=sys.stderr)
+        yield start, None
 
 
 def _first_unprintable(terms: list[int], limit: int) -> int:
@@ -228,32 +227,23 @@ def _first_unprintable(terms: list[int], limit: int) -> int:
 
 
 def cmd_generate(parser, args) -> int:
-    spec, srcs = _transform_from_args(parser, args)
-    _positive(parser, "--count", args.count)
     template = '"%d", ' if args.format == "json" else "%d\n"
     texts = []  # each chunk's text, written once the whole prefix is known to succeed
     unprintable = None  # the error of the first term too long to print
-    start, chunk = 0, []
-    try:
-        terms = transforms.iter_terms(spec, srcs)
-        for start in range(0, args.count, OUTPUT_CHUNK):
-            chunk = []
-            # extend keeps the terms made before a failure: they number n - 1
-            chunk.extend(islice(terms, min(OUTPUT_CHUNK, args.count - start)))
-            if unprintable is not None:
-                continue  # a source error further on is still the one reported
-            try:
-                texts.append((template * len(chunk)) % tuple(chunk))
-            except ValueError:
-                # CPython's %d refuses an int of more digits than its limit
-                limit = (sys.get_int_max_str_digits()
-                         if hasattr(sys, "get_int_max_str_digits") else 0)
-                unprintable = (f"error at n={start + _first_unprintable(chunk, limit)}: the term "
-                               f"has more than {limit} decimal digits, too many to print")
-                texts.clear()
-    except (SourceError, SpecExhaustedError) as exc:
-        print(f"error at n={start + len(chunk) + 1}: {exc}", file=sys.stderr)
-        return EXIT_SOURCE
+    for start, chunk in _prefix(parser, args):
+        if chunk is None:
+            return EXIT_SOURCE
+        if unprintable is not None:
+            continue  # a source error further on is still the one reported
+        try:
+            texts.append((template * len(chunk)) % tuple(chunk))
+        except ValueError:
+            # CPython's %d refuses an int of more digits than its limit
+            limit = (sys.get_int_max_str_digits()
+                     if hasattr(sys, "get_int_max_str_digits") else 0)
+            unprintable = (f"error at n={start + _first_unprintable(chunk, limit)}: the term "
+                           f"has more than {limit} decimal digits, too many to print")
+            texts.clear()
     if unprintable is not None:
         print(unprintable, file=sys.stderr)
         return EXIT_SOURCE
@@ -276,13 +266,12 @@ def cmd_verify(parser, args) -> int:
 
 
 def cmd_oeis_check(parser, args) -> int:
-    try:
-        anum = oeis.normalize_anum(args.anum)
-    except ValueError as exc:
-        parser.error(f"--anum: {exc}")
-    terms = _generate_terms(parser, args)
-    if isinstance(terms, int):
-        return terms
+    anum = _parsed(parser, "--anum", oeis.normalize_anum, args.anum)
+    terms = []
+    for _, chunk in _prefix(parser, args):
+        if chunk is None:
+            return EXIT_SOURCE
+        terms += chunk
     try:
         records = oeis.parse_bfile(oeis.fetch_bfile(anum, offline=not args.online))
     except oeis.NotFoundError as exc:
@@ -300,20 +289,11 @@ def cmd_oeis_check(parser, args) -> int:
     return EXIT_INSUFFICIENT
 
 
-_COMMANDS = {
-    "encode": cmd_encode,
-    "decode": cmd_decode,
-    "generate": cmd_generate,
-    "verify": cmd_verify,
-    "oeis-check": cmd_oeis_check,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     parser = args.command_parser
     try:
-        return _COMMANDS[args.command](parser, args)
+        return args.handler(parser, args)
     except (ValueError, SpecExhaustedError) as exc:
         # a finite tiling spec that cannot cover the requested cell or
         # position range is an argument problem, like any other bad flag

@@ -171,8 +171,3 @@ def _runs(size, t: int, p: int) -> Iterator[tuple[int, int, int]]:
             yield t, p, q
             p, width = q + 1, min(2 * width, RUN_CAP)
         t, p = t + 1, 1
-
-
-def run_cells(scheme: Scheme, t: int, p: int, q: int) -> Iterator[Cell]:
-    """Cells p..q of block t, a diagonal, shell or tile, in the scheme's order."""
-    return scheme.reader[1](t, p, q)

@@ -339,6 +339,23 @@ def test_oeis_check_insufficient_exit4(capsys):
     assert code == 4 and "A999999" in err
 
 
+def test_oeis_check_source_error_exit3(capsys, monkeypatch):
+    # the failing position is reported as generate reports it, before any b-file is
+    # read; reluctant reads row i, and row 128 is first reached in the third chunk
+    def explode(anum, offline=True):
+        raise AssertionError("b-file read")
+
+    monkeypatch.setattr(cli.oeis, "fetch_bfile", explode)
+    first_bad = next(n for n, (i, j) in enumerate(CANTOR, 1) if i > 127)
+    for rows, count, n in ((3, 10, 10), (127, 9000, first_bad)):
+        argv = ("--family", "reluctant", "--alpha", _list_source(range(1, rows + 1)),
+                "--count", str(count))
+        code, out, err = run(capsys, "generate", *argv)
+        assert (code, out) == (3, "") and err.startswith(f"error at n={n}: ")
+        for anum in ("A002260", "A999999"):
+            assert run(capsys, "oeis-check", *argv, "--anum", anum) == (3, "", err)
+
+
 def test_oeis_check_network_exit5(capsys, monkeypatch):
     def explode(anum, offline=True):
         raise oeis.NetworkError("no route")
@@ -373,8 +390,38 @@ FLAG_VALUES = {"alpha": ["primes"], "beta": ["phi"], "sources": ["id", "phi"], "
                "inner": ["cantor"], "outer": ["angle"]}
 
 
-def test_usage_errors_exit2(capsys):
-    assert run_usage_error(capsys, "encode", "--scheme", "moore", "--i", "1", "--j", "1") == 2
+def test_usage_errors_exit2(capsys, tmp_path):
+    # a bad value of any text flag is refused in the subcommand's usage, and names its flag
+    missing = f"file:{tmp_path / 'missing.txt'}"
+    for flag, argv in (
+            ("--scheme", ("encode", "--scheme", "moore", "--i", "1", "--j", "1")),
+            ("--scheme", ("encode", "--scheme", "tiling:const:0x2:row", "--i", "1", "--j", "1")),
+            ("--spec", ("verify", "--scheme", "tiling", "--spec", "const:0x2", "--n-max", "5")),
+            ("--order", ("decode", "--scheme", "tiling", "--spec", "const:3x2",
+                         "--order", "diagonal", "--n", "5")),
+            ("--inner", ("generate", "--family", "superpose", "--inner", "moore",
+                         "--outer", "cantor", "--count", "3")),
+            ("--outer", ("generate", "--family", "superpose", "--inner", "cantor",
+                         "--outer", "tiling:const:3x2", "--count", "3")),
+            ("--alpha", ("generate", "--family", "reluctant", "--alpha", "fib", "--count", "3")),
+            ("--beta", ("oeis-check", "--family", "pair", "--beta", "pow:x", "--anum", "A002260")),
+            ("--sources", ("generate", "--family", "braid", "--sources", "id", missing,
+                           "--count", "3")),
+            ("--anum", ("oeis-check", "--family", "reluctant", "--anum", "A0"))):
+        with pytest.raises(SystemExit) as err:
+            cli.main(list(argv))
+        text = capsys.readouterr().err
+        assert err.value.code == 2, argv
+        assert text.startswith(f"usage: gridseq {argv[0]} "), argv
+        assert f"gridseq {argv[0]}: error: {flag}: " in text, argv
+    # a scheme name is refused with the same text whichever flag gives it
+    for argv in (("encode", "--scheme", "moore", "--i", "1", "--j", "1"),
+                 ("generate", "--family", "superpose", "--inner", "moore", "--count", "3")):
+        with pytest.raises(SystemExit):
+            cli.main(list(argv))
+        assert capsys.readouterr().err.endswith(
+            ": unknown scheme 'moore'; expected one of cantor, cantor0, boustrophedon, "
+            "center-out, edges-in, alternating, angle, oxplow or tiling:<spec>:<order>\n")
     # errors found after parsing print the subcommand's usage, as argparse's own do
     for argv in (("decode", "--scheme", "cantor", "--n", "0"),
                  ("decode", "--scheme", "tiling", "--n", "5"),
@@ -425,7 +472,6 @@ def test_usage_errors_exit2(capsys):
         for flag, values in FLAG_VALUES.items():
             if flag not in reads:
                 assert run_usage_error(capsys, *argv, f"--{flag}", *values) == 2, (family, flag)
-    assert run_usage_error(capsys, "verify", "--scheme", "tiling", "--spec", "const:0x2", "--n-max", "5") == 2
     assert run_usage_error(capsys, "oeis-check", "--family", "reluctant", "--anum", "bogus") == 2
     assert run_usage_error(capsys) == 2
 

@@ -7,7 +7,8 @@ boundaries.  ``iter_terms``, ``term`` and, where the CLI can take the case,
 ``cli.main(["generate", ...])`` must give the terms of the per-position
 closed forms (``support.direct_term``), or fail as they do: the same
 exception type, message and ``index``, at the same position, which is the
-exit-3 ``n`` of the CLI.
+exit-3 ``n`` of the CLI.  Where ``generate`` fails on a source,
+``oeis-check`` with the same flags must fail with the same line.
 """
 
 import io
@@ -170,6 +171,11 @@ def test_streamed_paths_match_the_closed_forms(data):
         assert (code, out) == (want_code, want_out)
         if want_err is not None:
             assert err == want_err
+        if failure is not None and issubclass(failure[0], SourceError):
+            # oeis-check reads the same prefix, and fails at the same n
+            argv = ["oeis-check", "--family", spec.family, *flags, "--count", str(count),
+                    "--anum", "A002260"]
+            assert run_cli(argv) == (3, "", want_err)
 
 
 def _term_once(spec, sources, n):

@@ -130,6 +130,18 @@ def test_index_validation():
         nth_prime(0)
 
 
+
+@pytest.mark.parametrize("text", ["id", "primes", "phi", "list:5,6,7,8"])
+def test_values_refuses_a_range_that_ends_below_1(text):
+    # a decreasing range is checked at its low end too, and refused as value(0) is
+    source = parse_source(text)
+    with pytest.raises(ValueError) as want:
+        source.value(0)
+    with pytest.raises(ValueError) as got:
+        source.values(range(3, -1, -1))
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
 # strong pseudoprimes to the first 4, 5, 6, 8, 9 and 12 prime bases: the
 # 13 bases of the test must still find each composite
 STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321,

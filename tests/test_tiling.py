@@ -58,6 +58,15 @@ def test_locate_tile_spec_exhausted():
         locate_tile(4, 1, spec)
 
 
+def test_side_list_error_names_the_first_missing_entry():
+    rule = list_rule([1, 2, 3])
+    assert tuple(rule.sides(1, 3)) == (2, 3)
+    for lo, hi, entry in ((1, 5, 4), (4, 6, 5)):
+        with pytest.raises(SpecExhaustedError) as err:
+            rule.sides(lo, hi)
+        assert str(err.value) == f"side list has 3 entries, needed entry {entry}"
+
+
 def test_rowwise_examples():
     assert rect_encode(1, 4, CONST32) == 7
     assert rect_encode(2, 3, CONST32) == 6

@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridseq import pairing, schemes, tiling, transforms as tr
+from gridseq import pairing, tiling, transforms as tr
 from gridseq.schemes import RUN_CAP, Scheme, parse_scheme, tiling_scheme
 from gridseq.sources import (
     BudgetExceededError,
@@ -606,7 +606,7 @@ def block_and_cells(spec, sources, t, p0, p1):
     row = FAMILY_TABLE[spec.family]
     cell = row.rule(spec, sources)
     block = list(row.block(spec, sources)(t, p0, p1))
-    return block, [cell(i, j) for i, j in schemes.run_cells(row.reader, t, p0, p1)]
+    return block, [cell(i, j) for i, j in row.reader.reader[1](t, p0, p1)]
 
 
 def block_size(reader, t):
