@@ -9,17 +9,20 @@ prime sieve.
 
 Every source also reads a whole run of indices at once, :meth:`SequenceSource.values`:
 the naturals return the run itself, the primes and the lists slice their
-tuple or list, and the other kinds map their value function over it.
+array or list, and the other kinds map their value function over it.
 
 The primes come from one shared table that is only ever replaced whole, by
-a larger sieve; the totient divides by that table and then by odd numbers,
-so its memory does not grow with its argument.  Past the table, a
-deterministic Miller-Rabin test ends the division as soon as what is left
-is prime; its time still grows as the square root of the second-largest
-prime factor.  The totient memo only gains entries.  Neither is locked, and
-concurrent first hits at most duplicate work.
+a larger sieve of the odd numbers.  The table packs each prime into 8 bytes
+of one ``array('q')``; while it grows, the sieve holds one more byte for
+every two numbers up to its bound.  The totient divides by that table and
+then by odd numbers, so its memory does not grow with its argument.  Past
+the table, a deterministic Miller-Rabin test ends the division as soon as
+what is left is prime; its time still grows as the square root of the
+second-largest prime factor.  The totient memo only gains entries.
+Neither is locked, and concurrent first hits at most duplicate work.
 """
 
+from array import array
 from collections.abc import Sequence
 from itertools import chain, compress, count
 from math import isqrt, log
@@ -93,8 +96,9 @@ class SequenceSource:
 # (sieved bound, every prime up to it): nth_prime replaces the pair whole,
 # so a reader sees one consistent table however threads interleave.  Two
 # threads that sieve at once may leave the smaller table; it still holds
-# what its caller asked for, and a later call regrows it.
-_prime_table = (13, (2, 3, 5, 7, 11, 13))
+# what its caller asked for, and a later call regrows it.  _FIRST_PRIMES is
+# the table a fresh process starts from.
+_prime_table = _FIRST_PRIMES = (13, array("q", (2, 3, 5, 7, 11, 13)))
 _phi_memo: dict[int, int] = {}
 
 
@@ -117,7 +121,7 @@ def _prime_run(r: range) -> Sequence[int]:
     return _slice(_primes_through(max(r[0], r[-1])), r)
 
 
-def _primes_through(n: int) -> tuple[int, ...]:
+def _primes_through(n: int) -> array:
     """A prime table that holds at least the first n primes."""
     global _prime_table
     if n > PRIME_INDEX_CAP:
@@ -130,12 +134,13 @@ def _primes_through(n: int) -> tuple[int, ...]:
         # the table holds six primes, so n >= 7, and p_n < n (ln n + ln ln n)
         # for n >= 6: one sieve to that bound holds the n-th prime
         bound = max(int(n * (log(n) + log(log(n)))) + 10, 2 * bound)
-        sieve = bytearray([1]) * (bound + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, isqrt(bound) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
-        table = tuple(compress(range(bound + 1), sieve))
+        sieve = bytearray([1]) * ((bound + 1) // 2)  # sieve[k] stands for 2k + 1
+        sieve[0] = 0
+        for p in range(3, isqrt(bound) + 1, 2):
+            if sieve[p // 2]:
+                sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+        table = array("q", (2,))
+        table.extend(compress(range(1, bound + 1, 2), sieve))
         _prime_table = bound, table
     return table
 

@@ -1,10 +1,16 @@
+import subprocess
+import sys
 import tracemalloc
+from itertools import islice
+from math import log2
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from gridseq import sources
+from gridseq.pairing import triangle
 from gridseq.sources import (
     BudgetExceededError,
     SourceExhaustedError,
@@ -19,6 +25,7 @@ from gridseq.sources import (
     primes,
     totient,
 )
+from gridseq.transforms import TransformSpec, iter_terms
 
 
 def test_identity():
@@ -38,6 +45,46 @@ def test_prime_cap(monkeypatch):
         nth_prime(11)
     assert err.value.index == 11
     assert nth_prime(10) == 29
+
+
+def test_a_rising_stream_of_prime_indices_resieves_logarithmically(monkeypatch):
+    # shifted-columns with k = 1000 reads index 1 + 1000 t first on diagonal
+    # t, so the indices read rise by 1000 a diagonal up to 10^5 + 1; each
+    # sieve at least doubles the bound, so the table is replaced about
+    # log2(10^5) times at most, not once for every few diagonals
+    grow, asked, sieves = sources._primes_through, [], []
+
+    def counted(n):
+        before = sources._prime_table
+        table = grow(n)
+        asked.append(n)
+        if sources._prime_table is not before:
+            sieves.append(n)
+        return table
+
+    monkeypatch.setattr(sources, "_prime_table", sources._FIRST_PRIMES)
+    monkeypatch.setattr(sources, "_primes_through", counted)
+    spec = TransformSpec("shifted-columns", k=1000)
+    for _ in islice(iter_terms(spec, primes()), triangle(101)):
+        pass
+    assert max(asked) == 10**5 + 1
+    assert len(sieves) <= log2(10**5), sieves
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_the_prime_table_costs_under_32_bytes_a_prime():
+    # peak RSS of a fresh interpreter across one sieve to the cap: 8 bytes a
+    # prime in the table, and a transient byte for every two numbers sieved
+    src = str(Path(sources.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from gridseq import sources\n"
+            "def peak():\n"
+            "    return next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "                if line.startswith('VmHWM:'))\n"
+            "before = peak(); sources.nth_prime(sources.PRIME_INDEX_CAP); print(peak() - before)")
+    done = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True, timeout=120, check=True)
+    grown = int(done.stdout) * 1024 / sources.PRIME_INDEX_CAP
+    assert grown < 32, f"{grown:.1f} bytes per prime"
 
 
 def test_totient_against_sympy(monkeypatch):
@@ -190,6 +237,6 @@ def test_totient_leaves_small_arguments_to_division(monkeypatch):
         raise AssertionError(f"primality test on {m}")
 
     monkeypatch.setattr(sources, "_phi_memo", {})
-    monkeypatch.setattr(sources, "_prime_table", (13, (2, 3, 5, 7, 11, 13)))
+    monkeypatch.setattr(sources, "_prime_table", sources._FIRST_PRIMES)
     monkeypatch.setattr(sources, "_proved_prime", lambda m: m >= sources._MR_FLOOR and refuse(m))
     assert [totient(n) for n in range(1, 5000)] == [sympy.totient(n) for n in range(1, 5000)]

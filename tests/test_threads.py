@@ -21,7 +21,6 @@ from gridseq.schemes import CANTOR, walk
 from gridseq.sources import euler_phi, nth_prime, primes, totient
 from gridseq.transforms import TransformSpec, iter_terms
 
-SIX_PRIMES = (13, (2, 3, 5, 7, 11, 13))
 THREADS = 4
 TRIALS = 10
 
@@ -50,7 +49,7 @@ JOBS = [
 
 
 def _reset(monkeypatch):
-    monkeypatch.setattr(sources, "_prime_table", SIX_PRIMES)
+    monkeypatch.setattr(sources, "_prime_table", sources._FIRST_PRIMES)
     monkeypatch.setattr(sources, "_phi_memo", {})
 
 
@@ -90,7 +89,7 @@ def test_a_batched_read_slices_the_table_its_growth_returned(monkeypatch):
 
     def grow_then_replaced(n):
         table = grow(n)
-        sources._prime_table = SIX_PRIMES
+        sources._prime_table = sources._FIRST_PRIMES
         return table
 
     _reset(monkeypatch)

@@ -577,6 +577,36 @@ def test_block_reads_stay_under_the_cap(case):
         assert peak < 2**22, (start, peak)
 
 
+# one case for each block rule that holds a prefix or a diagonal, and must
+# hold nothing once its reads run past RUN_CAP
+HELD_CASES = {
+    "column": (TransformSpec("self-compose"), [identity()]),
+    "double-reluctant": (TransformSpec("double-reluctant"), [identity()]),
+    "eta-heads": (TransformSpec("eta", d=3), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELD_CASES))
+def test_block_reads_past_the_cap_hold_nothing_that_grows(case):
+    # two whole anti-diagonals from diagonal t, past RUN_CAP: 3x as many
+    # cells at the second start must not raise the peak.  Both starts are
+    # past the diagonal where eta's terms outgrow one 30-bit int digit.
+    spec, sources = HELD_CASES[case]
+
+    def peak(t):
+        tracemalloc.start()
+        try:
+            for _ in islice(iter_terms(spec, sources, pairing.triangle(t) + 1),
+                            pairing.triangle(t + 2) - pairing.triangle(t)):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    near, far = peak(8000), peak(24000)
+    assert far < 1.25 * near, (near, far)
+
+
 # -- the affine families' block reads against their array rules at the main diagonal --------
 
 AFFINE_FAMILIES = ("reluctant", "reverse-reluctant", "shifted-columns", "max-shift", "segment-shift",
