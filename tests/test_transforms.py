@@ -588,7 +588,7 @@ HELD_CASES = {
 
 @pytest.mark.parametrize("case", sorted(HELD_CASES))
 def test_block_reads_past_the_cap_hold_nothing_that_grows(case):
-    # two whole anti-diagonals from diagonal t, past RUN_CAP: 3x as many
+    # two whole anti-diagonals from diagonal t, past RUN_CAP: 2x as many
     # cells at the second start must not raise the peak.  Both starts are
     # past the diagonal where eta's terms outgrow one 30-bit int digit.
     spec, sources = HELD_CASES[case]
@@ -603,7 +603,7 @@ def test_block_reads_past_the_cap_hold_nothing_that_grows(case):
         finally:
             tracemalloc.stop()
 
-    near, far = peak(8000), peak(24000)
+    near, far = peak(8000), peak(16000)
     assert far < 1.25 * near, (near, far)
 
 
