@@ -8,28 +8,31 @@ agree to do, via a bit budget on power values and an index cap on the
 prime sieve.
 
 Every source also reads a whole run of indices at once, :meth:`SequenceSource.values`:
-the naturals return the run itself, the primes and the lists slice their
-array or list, and the other kinds map their value function over it.
+the naturals return the run itself, the primes, the totients below their
+cap and the lists slice their array or list, and the other kinds map their
+value function over it.
 
 The primes come from one shared table that is only ever replaced whole, by
 a larger sieve of the odd numbers.  The table packs each prime into 8 bytes
 of one ``array('q')``; while it grows, the sieve holds one more byte for
-every two numbers up to its bound.  The totient divides by that table and
-then by odd numbers, so its memory does not grow with its argument.  Past
-the table, a deterministic Miller-Rabin test ends the division as soon as
-what is left is prime; its time still grows as the square root of the
-second-largest prime factor.  The totient memo only gains entries.
-Neither is locked, and concurrent first hits at most duplicate work.
+every two numbers up to its bound.  The totients up to
+``TOTIENT_TABLE_CAP`` come from a second table of the same kind, in which
+entry n is phi(n), so a run of them is one slice.  Past that cap the
+totient divides by the primes sieved so far and splits what is left with
+Brent's rho, so its memory does not grow with its argument or with the
+number of arguments asked.  Neither table is locked, and concurrent first
+hits at most duplicate work.
 """
 
 from array import array
 from collections.abc import Sequence
 from itertools import chain, compress, count
-from math import isqrt, log
+from math import gcd, isqrt, log
 from pathlib import Path
 
 DEFAULT_BIT_BUDGET = 1_000_000
 PRIME_INDEX_CAP = 1_000_000
+TOTIENT_TABLE_CAP = 1 << 16
 
 
 def brief_int(n: int) -> str:
@@ -93,19 +96,20 @@ class SequenceSource:
         return f"SequenceSource({self.name!r})"
 
 
-# (sieved bound, every prime up to it): nth_prime replaces the pair whole,
-# so a reader sees one consistent table however threads interleave.  Two
-# threads that sieve at once may leave the smaller table; it still holds
-# what its caller asked for, and a later call regrows it.  _FIRST_PRIMES is
-# the table a fresh process starts from.
+# (sieved bound, every prime up to it) and (bound, phi(0..bound)), entry 0
+# unused: growth replaces each pair whole, so a reader sees one consistent
+# table however threads interleave.  Two threads that sieve at once may
+# leave the smaller table; it still holds what its caller asked for, and a
+# later call regrows it.  _FIRST_PRIMES and _FIRST_TOTIENTS are the tables
+# a fresh process starts from.
 _prime_table = _FIRST_PRIMES = (13, array("q", (2, 3, 5, 7, 11, 13)))
-_phi_memo: dict[int, int] = {}
+_phi_table = _FIRST_TOTIENTS = (1, array("q", (0, 1)))
 
 
-def _slice(terms: Sequence[int], r: range) -> Sequence[int]:
-    """The terms at the 1-based indices of r, which all lie within ``terms``."""
-    stop = r.stop - 1
-    return terms[r.start - 1:stop if stop >= 0 else None:r.step]
+def _slice(terms: Sequence[int], r: range, first: int = 1) -> Sequence[int]:
+    """The terms at the indices of r, which all lie within ``terms``, whose entry 0 has index first."""
+    stop = r.stop - first
+    return terms[r.start - first:stop if stop >= 0 else None:r.step]
 
 
 def nth_prime(n: int) -> int:
@@ -145,6 +149,28 @@ def _primes_through(n: int) -> array:
     return table
 
 
+def _phi_run(r: range) -> Sequence[int]:
+    top = max(r[0], r[-1])
+    if top > TOTIENT_TABLE_CAP:
+        return list(map(totient, r))
+    # slice the table that growth returned, as _prime_run does
+    return _slice(_totients_through(top), r, 0)
+
+
+def _totients_through(n: int) -> array:
+    """A totient table that holds phi(n), for n up to ``TOTIENT_TABLE_CAP``."""
+    global _phi_table
+    bound, table = _phi_table
+    if n > bound:
+        bound = min(max(n, 2 * bound), TOTIENT_TABLE_CAP)
+        table = array("q", range(bound + 1))
+        for p in range(2, bound + 1):
+            if table[p] == p:  # no smaller prime divides p
+                table[p::p] = array("q", (v - v // p for v in table[p::p]))
+        _phi_table = bound, table
+    return table
+
+
 # Miller-Rabin with the first 13 primes as bases decides every n below
 # _MR_LIMIT (Sorenson and Webster 2015).  Below _MR_FLOOR, dividing by the
 # at most 512 odd numbers up to the root costs about as much as the test.
@@ -172,38 +198,84 @@ def _proved_prime(m: int) -> bool:
     return True
 
 
-def totient(n: int) -> int:
-    """Euler's totient, by trial division, memoised.
+def _brent(m: int) -> int:
+    """A factor 1 < d < m of the odd composite m, by Brent's variant of Pollard's rho."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            for k in range(0, r, 128):  # one gcd for each 128 steps
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = gcd(q, m)
+                if g != 1:
+                    break
+            r *= 2
+        if g == m:  # the batch overshot: step again from its start, one gcd a step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g  # else the cycle closed without a factor: another c
+
+
+def _split(m: int) -> set[int]:
+    """The primes that divide the odd number m < _MR_LIMIT."""
+    if m < _MR_FLOOR:
+        return _prime_divisors(m)
+    if _proved_prime(m):
+        return {m}
+    d = _brent(m)
+    return _split(d) | _split(m // d)
+
+
+def _prime_divisors(m: int) -> set[int]:
+    """The primes that divide m >= 1.
 
     Divides by the primes already sieved, then by odd numbers; a composite
     divisor never divides what is left, so the table is read, never grown.
-    Past the table, the odd divisions stop once what is left is proved
-    prime, which is tested again after each factor found.  Above the range
-    of that test the division runs to the root, so every value is exact.
+    Once the division has passed the table, or the primes up to the root of
+    _MR_FLOOR, what is left in the range of the primality test is split by
+    rho instead.  Above that range the division runs on to the root.
+    """
+    found = set()
+    table = _prime_table[1]
+    last = table[-1]
+    for p in chain(table, count(last + 2, 2)):
+        if p * p > m:
+            break
+        if m % p == 0:
+            found.add(p)
+            while m % p == 0:
+                m //= p
+        if (p >= last or p * p > _MR_FLOOR) and _MR_FLOOR <= m < _MR_LIMIT:
+            return found | _split(m)
+    if m > 1:
+        found.add(m)
+    return found
+
+
+def totient(n: int) -> int:
+    """Euler's totient: read from the table up to ``TOTIENT_TABLE_CAP``, else
+    from the distinct primes that divide n.
+
+    Past the cap, those primes come from division by small primes and then
+    Brent's rho on a cofactor that a deterministic Miller-Rabin test does not
+    prove prime, below about 3.3e24.  Above that range the division runs to
+    the root of the cofactor, so every value is exact, however slow.
     """
     if n < 1:
         raise ValueError(f"totient wants a positive argument, got {n}")
-    cached = _phi_memo.get(n)
-    if cached is not None:
-        return cached
+    if n <= TOTIENT_TABLE_CAP:
+        return _totients_through(n)[n]
     result = n
-    m = n
-    table = _prime_table[1]
-    last = table[-1]
-    proved = False
-    for p in chain(table, count(last + 2, 2)):
-        if proved or p * p > m:
-            break
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-            proved = p >= last and _proved_prime(m)
-        elif p == last:
-            proved = _proved_prime(m)
-    if m > 1:
-        result -= result // m
-    _phi_memo[n] = result
+    for p in _prime_divisors(n):
+        result -= result // p
     return result
 
 
@@ -216,7 +288,7 @@ def primes() -> SequenceSource:
 
 
 def euler_phi() -> SequenceSource:
-    return SequenceSource("phi", totient)
+    return SequenceSource("phi", totient, run=_phi_run)
 
 
 def power_base(m: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> SequenceSource:

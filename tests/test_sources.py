@@ -93,7 +93,7 @@ def test_totient_against_sympy(monkeypatch):
     for n in range(1, 500):
         assert src.value(n) == sympy.totient(n)
 
-    monkeypatch.setattr(sources, "_phi_memo", {})
+    monkeypatch.setattr(sources, "_phi_table", sources._FIRST_TOTIENTS)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10**10))
@@ -110,6 +110,47 @@ def test_totient_against_sympy(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_the_totient_table_is_read_in_runs_and_stops_at_its_cap(monkeypatch):
+    # strided and decreasing runs that end at, below and past the cap, each
+    # against sympy; the table never holds more than the cap
+    cap = sources.TOTIENT_TABLE_CAP
+    monkeypatch.setattr(sources, "_phi_table", sources._FIRST_TOTIENTS)
+    src = euler_phi()
+    for r in (range(1, 2), range(9, -3, -4), range(1, 3001, 7), range(3000, 0, -1000),
+              range(cap - 9, cap + 1), range(cap + 3, cap - 7, -2), range(cap - 2 * 10**4, 5, -999)):
+        assert list(src.values(r)) == [sympy.totient(n) for n in r], r
+        assert sources._phi_table[0] <= cap
+    assert sources._phi_table[0] == cap
+    assert totient(cap + 1) == sympy.totient(cap + 1)
+
+
+def test_totients_past_the_table_hold_nothing_that_grows(monkeypatch):
+    # 2000 and then 20000 more distinct arguments past the cap: the peak
+    # must not grow with the number of arguments asked, as a memo's would
+    monkeypatch.setattr(sources, "_phi_table", sources._FIRST_TOTIENTS)
+    first = 10**5
+    assert first > sources.TOTIENT_TABLE_CAP
+    tracemalloc.start()
+    try:
+        for n in range(first, first + 2000):
+            totient(n)
+        small = tracemalloc.get_traced_memory()[1]
+        for n in range(first + 2000, first + 22_000):
+            totient(n)
+        large = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert large < 1.25 * small, (small, large)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**18))
+def test_totient_on_uniform_draws_to_a_quintillion(n):
+    # a uniform draw is often a product of two primes near 10^9, which
+    # division alone would take seconds to split; rho takes milliseconds
+    assert totient(n) == sympy.totient(n)
 
 
 def test_power_base_and_geometric():
@@ -213,7 +254,7 @@ def test_miller_rabin_against_sympy(m):
 
 
 def test_totient_to_a_quintillion(monkeypatch):
-    monkeypatch.setattr(sources, "_phi_memo", {})
+    monkeypatch.setattr(sources, "_phi_table", sources._FIRST_TOTIENTS)
 
     # the division runs up to the second-largest prime factor, so the draws
     # are built from a part below 10^5 and a large prime, which the test ends
@@ -236,7 +277,7 @@ def test_totient_leaves_small_arguments_to_division(monkeypatch):
     def refuse(m):
         raise AssertionError(f"primality test on {m}")
 
-    monkeypatch.setattr(sources, "_phi_memo", {})
+    monkeypatch.setattr(sources, "_phi_table", sources._FIRST_TOTIENTS)
     monkeypatch.setattr(sources, "_prime_table", sources._FIRST_PRIMES)
     monkeypatch.setattr(sources, "_proved_prime", lambda m: m >= sources._MR_FLOOR and refuse(m))
     assert [totient(n) for n in range(1, 5000)] == [sympy.totient(n) for n in range(1, 5000)]

@@ -1,10 +1,10 @@
-"""Threads that share the prime table and the totient memo see what one thread sees.
+"""Threads that share the prime table and the totient table see what one thread sees.
 
-Each trial resets the table to its first six primes and empties the memo,
+Each trial resets both tables to the ones a fresh process starts from,
 then four threads start together under a one-microsecond switch interval
-and run the same calls in different orders, so that a thread reads the
-table while another replaces it.  The block rules slice the table in
-batched reads, strided ones among them, so a read that sliced the shared
+and run the same calls in different orders, so that a thread reads a
+table while another replaces it.  The block rules slice the tables in
+batched reads, strided ones among them, so a read that sliced a shared
 table after a smaller one replaced it would come up short or wrong.  ``cli.main`` is left out: it writes to
 ``sys.stdout``, which is shared by the whole process, so the threads'
 outputs could not be told apart.
@@ -17,7 +17,7 @@ from itertools import islice
 import sympy
 
 from gridseq import sources
-from gridseq.schemes import CANTOR, walk
+from gridseq.schemes import CANTOR, Scheme, walk
 from gridseq.sources import euler_phi, nth_prime, primes, totient
 from gridseq.transforms import TransformSpec, iter_terms
 
@@ -45,15 +45,19 @@ JOBS = [
     _prefix("shifted-columns", [primes()], 400, 300, k=1000),
     _prefix("max-shift-angle", [primes()], 1, k=3),
     _prefix("multi-replicate", [primes(), euler_phi(), primes()], 1),
+    # batched reads of the totient table, strided ones among them
+    _prefix("max-shift-angle", [euler_phi()], 1, k=3),
+    _prefix("segment-shift", [euler_phi()], 1, k=2),
+    _prefix("pair", [euler_phi(), euler_phi()], 1, combiner="concat"),
 ]
 
 
 def _reset(monkeypatch):
     monkeypatch.setattr(sources, "_prime_table", sources._FIRST_PRIMES)
-    monkeypatch.setattr(sources, "_phi_memo", {})
+    monkeypatch.setattr(sources, "_phi_table", sources._FIRST_TOTIENTS)
 
 
-def test_threads_share_the_prime_table_and_the_totient_memo(monkeypatch):
+def test_threads_share_the_prime_table_and_the_totient_table(monkeypatch):
     _reset(monkeypatch)
     expected = [job() for job in JOBS]
     interval = sys.getswitchinterval()
@@ -99,3 +103,22 @@ def test_a_batched_read_slices_the_table_its_growth_returned(monkeypatch):
     assert list(primes().values(range(3000, 0, -1000))) == expected[2999::-1000]
     terms = list(islice(iter_terms(TransformSpec("shifted-columns", k=1000), primes()), 300))
     assert terms == [expected[i + 1000 * (j - 1) - 1] for i, j in islice(walk(CANTOR), 300)]
+
+
+def test_a_batched_totient_read_slices_the_table_its_growth_returned(monkeypatch):
+    # the same interleaving for the totient table
+    grow = sources._totients_through
+
+    def grow_then_replaced(n):
+        table = grow(n)
+        sources._phi_table = sources._FIRST_TOTIENTS
+        return table
+
+    _reset(monkeypatch)
+    monkeypatch.setattr(sources, "_totients_through", grow_then_replaced)
+    expected = [sympy.totient(n) for n in range(1, 4001)]
+    assert list(euler_phi().values(range(1, 3001, 7))) == expected[:3000:7]
+    assert list(euler_phi().values(range(3000, 0, -1000))) == expected[2999::-1000]
+    terms = list(islice(iter_terms(TransformSpec("max-shift-angle", k=3), euler_phi()), 2000))
+    assert terms == [expected[max(3 * (i - 1) + j, i + 3 * (j - 1)) - 1]
+                     for i, j in islice(walk(Scheme("angle")), 2000)]
