@@ -71,6 +71,27 @@ def test_a_rising_stream_of_prime_indices_resieves_logarithmically(monkeypatch):
     assert len(sieves) <= log2(10**5), sieves
 
 
+def test_a_rising_stream_of_totient_indices_resieves_logarithmically(monkeypatch):
+    # the same stream over phi: the totient table at least doubles until it
+    # stops at its cap, and the runs past the cap sieve nothing
+    grow, sieves = sources._totients_through, []
+
+    def counted(n):
+        before = sources._phi_table
+        table = grow(n)
+        if sources._phi_table is not before:
+            sieves.append(n)
+        return table
+
+    monkeypatch.setattr(sources, "_phi_table", sources._FIRST_TOTIENTS)
+    monkeypatch.setattr(sources, "_totients_through", counted)
+    spec = TransformSpec("shifted-columns", k=1000)
+    for _ in islice(iter_terms(spec, euler_phi()), triangle(101)):
+        pass
+    assert len(sieves) <= log2(sources.TOTIENT_TABLE_CAP), sieves
+    assert sources._phi_table[0] == sources.TOTIENT_TABLE_CAP
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
 def test_the_prime_table_costs_under_32_bytes_a_prime():
     # peak RSS of a fresh interpreter across one sieve to the cap: 8 bytes a
