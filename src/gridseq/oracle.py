@@ -170,17 +170,15 @@ class VerificationReport:
 
 
 def verify_scheme(scheme: Scheme, count: int) -> VerificationReport:
-    """Check that the closed-form encoder agrees with the geometric walk.
+    """Check that the scheme's bound encoder agrees with the geometric walk.
 
-    Confirms encode(scheme, cell_k) == k for the first ``count`` cells of
-    the walk (k starting at the scheme's first index).  A mismatch is
+    Confirms ``scheme.encoder(*cell_k) == k`` for the first ``count`` cells
+    of the walk (k starting at the scheme's first index).  A mismatch is
     reported, not raised.
     """
     base = schemes.first_index(scheme)
-    position = base
-    for cell in islice(iter_cells(scheme), count):
-        got = schemes.encode(scheme, *cell)
-        if got != position:
-            return VerificationReport(scheme, position - base, False, position, cell, got)
-        position += 1
+    encode = scheme.encoder
+    for position, (i, j) in enumerate(islice(iter_cells(scheme), count), base):
+        if (got := encode(i, j)) != position:
+            return VerificationReport(scheme, position - base, False, position, (i, j), got)
     return VerificationReport(scheme, count, True)

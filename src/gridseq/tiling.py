@@ -227,6 +227,18 @@ class TilingSpec:
         K = C + E * d
         return R * (6 * A * K + (R - 1) * (3 * (B * K - A * E) - B * E * (2 * R - 1))) // 6
 
+    def _cells_ahead(self, d: int, R: int) -> int:
+        # _cells_before(d) + _cells_above(d, R) for a spec with a list rule, as
+        # one product sum: tile row r contributes h_r*lsum(d + 1 - r + [r <= R]),
+        # so h_1..h_d meet lsum(d + 1)..lsum(1) with lsum(d + 1 - R) left out.
+        # Lengths to d, heights to d, then lengths to d + 1 are read, in that order
+        if d < 1:
+            return 0
+        self.lengths.total(d)
+        heights = self.heights.sides(0, d)
+        sums, S = self.lengths.totals(1, d + (R > 0)), d - R
+        return sum(map(mul, heights, reversed(sums[:S] + sums[S + 1:])))
+
 
 _KINDS = ("const", "list", "ramp")
 
@@ -289,6 +301,7 @@ def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], i
             for rule in (spec.heights, spec.lengths))
     split_i, split_j = spec.heights.split, spec.lengths.split
     before, above = spec._cells_before, spec._cells_above
+    ahead = spec._cells_ahead if spec._coeffs is None else None
     height, length = spec.height, spec.length
     colwise = order == "col" if order in ("row", "col") else None
 
@@ -297,7 +310,7 @@ def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], i
         R, di = divmod(i - 1, a) if a else split_i(i)
         S, dj = divmod(j - 1, c) if c else split_j(j)
         d = R + S
-        head = before(d) + above(d, R) + 1
+        head = (ahead(d, R) if ahead else before(d) + above(d, R)) + 1
         if colwise or (colwise is None and _colwise(order, R, S)):
             return head + (a or height(R + 1)) * dj + di
         return head + (c or length(S + 1)) * di + dj

@@ -8,7 +8,8 @@ independent route to be checked against, and ``newton_isqrt`` is a
 loop-based integer square root used to stress the exactness of the
 ``math.isqrt``-based index arithmetic.  ``LoopTilingSpec`` counts the
 tiles of a spec with a ``list`` rule by plain generator sums over the
-per-side methods, the reference for the product sums of ``TilingSpec``.
+per-side methods, the reference for the product sums of ``TilingSpec``
+(``_cells_ahead`` included, which the bound encoder of a list spec calls).
 ``outcome`` and ``describe`` reduce a stream of terms to what two
 generation paths must agree on, failures included.
 """
@@ -179,6 +180,9 @@ class LoopTilingSpec(TilingSpec):
         if self._coeffs is None:
             return loop_cells_above(self, d, R)
         return super()._cells_above(d, R)
+
+    def _cells_ahead(self, d, R):
+        return loop_cells_before(self, d) + loop_cells_above(self, d, R)
 
 
 def newton_isqrt(n):

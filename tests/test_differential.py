@@ -1,7 +1,8 @@
 """One differential gate for the streamed generation paths.
 
 Hypothesis draws a family with its parameters, its sources (short ``list:``
-sources and small ``pow`` bit budgets among them, so that errors happen), a
+sources and small ``pow`` bit budgets among them, so that errors happen, and
+``list:`` sources of a boundary count's length, so that some happen late), a
 start up to 10^30 and a count that crosses diagonal, shell and 4096-term
 boundaries.  ``iter_terms``, ``term`` and, where the CLI can take the case,
 ``cli.main(["generate", ...])`` must give the terms of the per-position
@@ -42,18 +43,28 @@ def _texts(values):
 @st.composite
 def sources_st(draw, n, phi):
     """n sources as (CLI text or None, source); None when the CLI cannot name it."""
-    kinds = ["id", "id", "primes", "list", "pow"] + (["phi", "phi"] if phi else [])
+    kinds = ["id", "id", "primes", "list", "long list", "pow"] + (["phi", "phi"] if phi else [])
     out = []
     for _ in range(n):
         kind = draw(st.sampled_from(kinds))
         if kind == "list":
             values = draw(st.lists(st.integers(-2, 40), min_size=1, max_size=40))
             out.append((_texts(values), from_list(values)))
+        elif kind == "long list":
+            out.append(draw(long_lists()))
         elif kind == "pow":
             out.append((None, power_base(2, draw(st.integers(4, 300)))))
         else:
             out.append((kind, {"id": identity, "primes": primes, "phi": euler_phi}[kind]()))
     return out
+
+
+@st.composite
+def long_lists(draw):
+    """A ``list:`` source of a boundary count's length, built whole from a range."""
+    start = draw(st.integers(-2, 40))
+    values = range(start, start + draw(st.sampled_from(BOUNDARY_COUNTS)))
+    return _texts(values), from_list(values)
 
 
 @st.composite
@@ -77,7 +88,12 @@ def cases(draw):
         fields["inner"] = Scheme(draw(st.sampled_from(ONE_BASED)))
         fields["outer"] = Scheme(draw(st.sampled_from(ONE_BASED)))
     count = draw(st.integers(2, 4)) if row.sources == SEVERAL else row.sources
-    srcs = draw(sources_st(count, draw(st.booleans())))
+    if family == "superpose" and draw(st.booleans()):
+        # superpose reads its source near index n, so a long list fails next
+        # to a 4096-term chunk boundary: at n = 4096 to 4098 or 8192 to 8194
+        srcs = [draw(long_lists())]
+    else:
+        srcs = draw(sources_st(count, draw(st.booleans())))
     spec = TransformSpec(family, **fields)
     for name, value in fields.items():
         flags += [f"--{name}", value.kind if isinstance(value, Scheme) else str(value)]

@@ -86,20 +86,33 @@ def test_verify_scheme_passes(scheme):
     assert report.checked == 2_000
 
 
-def test_verify_scheme_reports_mismatch(monkeypatch):
-    good = oracle.schemes.encode
+def _skewed(scheme, at):
+    """The scheme with its bound encoder, which verify_scheme calls, wrong at position ``at``."""
+    good = scheme.encoder
 
-    def skewed(scheme, i, j):
-        n = good(scheme, i, j)
-        return 99 if n == 5 else n
+    def skewed(i, j):
+        n = good(i, j)
+        return 99 if n == at else n
 
-    monkeypatch.setattr(oracle.schemes, "encode", skewed)
-    report = oracle.verify_scheme(Scheme("cantor"), 100)
-    assert not report.ok
-    assert report.mismatch_position == 5
-    assert report.mismatch_cell == (2, 2)
-    assert report.mismatch_encoded == 99
-    assert "mismatch" in str(report)
+    object.__setattr__(scheme, "encoder", skewed)
+    return scheme
+
+
+def test_verify_scheme_reports_mismatch():
+    for scheme, at, cell in [
+        (Scheme("cantor"), 5, (2, 2)),
+        (Scheme("cantor0"), 5, (2, 0)),  # base 0: five positions checked before it
+        # position 12 is the second cell of tile (1, 1), whose head leaves out lsum(2)
+        (tiling_scheme("list:2,1,3x1,2,2", "row"), 12, (3, 3)),
+    ]:
+        report = oracle.verify_scheme(_skewed(scheme, at), 100)
+        assert not report.ok
+        assert report.mismatch_position == at
+        assert report.mismatch_cell == cell
+        assert report.mismatch_encoded == 99
+        assert "mismatch" in str(report)
+        assert report.checked == at - (scheme.kind != "cantor0")
+        assert str(report) == f"{scheme}: mismatch at position {at}: cell {cell} encodes to 99"
 
 
 def test_traversal_code_is_formula_free():
@@ -136,6 +149,7 @@ def test_traversal_code_is_formula_free():
         "total(",
         "_cells_before",
         "_cells_above",
+        "_cells_ahead(",
         "_last_below",
         "sides(",
         "totals(",
