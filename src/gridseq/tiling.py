@@ -12,9 +12,10 @@ constant rule is a ramp with step 0, so every count has two paths: exact
 polynomials when neither rule is a list, and otherwise one O(d) product
 sum over the side tuples each rule holds (a list's sides and side sums,
 an affine rule's sides laid out as a range), with no per-diagonal table.
-Encoding evaluates the counts once; :func:`rect_reader` bisects them to
-place a position, O(log n) evaluations, then walks on tile by tile with no
-count.  Rules and specs never change, so they can be shared across threads.
+Encoding evaluates the counts once, and with a list rule in one pass: the
+cells ahead of a tile are a single O(d) product sum.  :func:`rect_reader`
+bisects the counts to place a position, O(log n) evaluations, then walks on
+tile by tile with no count.  Rules and specs never change, so they can be shared across threads.
 """
 
 from bisect import bisect_left
@@ -292,8 +293,9 @@ def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], i
 
     The order, each rule's split (one ``divmod`` for a step-0 side) and the
     spec's count methods are bound here, once.  Per cell it checks the cell,
-    splits i by the heights, then j by the lengths, then counts, so a spec
-    whose lists both run out raises the heights' ``SpecExhaustedError``.
+    splits i by the heights, then j by the lengths, then counts (one
+    ``_cells_ahead`` call with a list rule), so a spec whose lists both run
+    out raises the heights' ``SpecExhaustedError``.
     """
     order = canonical_order(order)
     # a, c: the side of a step-0 heights or lengths rule, else 0
