@@ -1,15 +1,17 @@
 """One differential gate for the streamed generation paths.
 
 Hypothesis draws a family with its parameters, its sources (short ``list:``
-sources and small ``pow`` bit budgets among them, so that errors happen, and
-``list:`` sources of a boundary count's length, so that some happen late), a
+sources and small ``pow`` bit budgets among them, so that errors happen), a
 start up to 10^30 and a count that crosses diagonal, shell and 4096-term
-boundaries.  ``iter_terms``, ``term`` and, where the CLI can take the case,
-``cli.main(["generate", ...])`` must give the terms of the per-position
-closed forms (``support.direct_term``), or fail as they do: the same
-exception type, message and ``index``, at the same position, which is the
-exit-3 ``n`` of the CLI.  Where ``generate`` fails on a source,
-``oeis-check`` with the same flags must fail with the same line.
+boundaries.  Half the ``superpose`` cases read a ``list:`` source of a
+boundary count's length from the first term for a boundary count, so that
+they fail late, next to a 4096-term chunk boundary.  ``iter_terms``,
+``term`` and, where the CLI can take the case, ``cli.main(["generate",
+...])`` must give the terms of the per-position closed forms
+(``support.direct_term``), or fail as they do: the same exception type,
+message and ``index``, at the same position, which is the exit-3 ``n`` of
+the CLI.  Where ``generate`` fails on a source, ``oeis-check`` with the
+same flags must fail with the same line.
 """
 
 import io
@@ -43,15 +45,13 @@ def _texts(values):
 @st.composite
 def sources_st(draw, n, phi):
     """n sources as (CLI text or None, source); None when the CLI cannot name it."""
-    kinds = ["id", "id", "primes", "list", "long list", "pow"] + (["phi", "phi"] if phi else [])
+    kinds = ["id", "id", "primes", "list", "pow"] + (["phi", "phi"] if phi else [])
     out = []
     for _ in range(n):
         kind = draw(st.sampled_from(kinds))
         if kind == "list":
             values = draw(st.lists(st.integers(-2, 40), min_size=1, max_size=40))
             out.append((_texts(values), from_list(values)))
-        elif kind == "long list":
-            out.append(draw(long_lists()))
         elif kind == "pow":
             out.append((None, power_base(2, draw(st.integers(4, 300)))))
         else:
@@ -69,7 +69,7 @@ def long_lists(draw):
 
 @st.composite
 def cases(draw):
-    """(spec, [(text, source)], CLI flags or None)."""
+    """(spec, [(text, source)], CLI flags or None, whether the case should fail late)."""
     family = draw(st.sampled_from(sorted(FAMILY_TABLE)))
     row = FAMILY_TABLE[family]
     fields, flags = {}, []
@@ -88,9 +88,10 @@ def cases(draw):
         fields["inner"] = Scheme(draw(st.sampled_from(ONE_BASED)))
         fields["outer"] = Scheme(draw(st.sampled_from(ONE_BASED)))
     count = draw(st.integers(2, 4)) if row.sources == SEVERAL else row.sources
-    if family == "superpose" and draw(st.booleans()):
-        # superpose reads its source near index n, so a long list fails next
-        # to a 4096-term chunk boundary: at n = 4096 to 4098 or 8192 to 8194
+    # superpose reads its source near index n, so a long list makes it fail
+    # next to a 4096-term chunk boundary, as near n = 4096 or 8192
+    late = family == "superpose" and draw(st.booleans())
+    if late:
         srcs = [draw(long_lists())]
     else:
         srcs = draw(sources_st(count, draw(st.booleans())))
@@ -99,12 +100,12 @@ def cases(draw):
         flags += [f"--{name}", value.kind if isinstance(value, Scheme) else str(value)]
     texts = [text for text, _ in srcs]
     if None in texts or callable(spec.combiner):
-        return spec, srcs, None
+        return spec, srcs, None, late
     if row.sources == SEVERAL:
         flags += ["--sources", *texts]
     else:
         flags += [x for flag, text in zip(("--alpha", "--beta"), texts) for x in (flag, text)]
-    return spec, srcs, flags
+    return spec, srcs, flags, late
 
 
 def starts(phi):
@@ -159,12 +160,15 @@ def expected_cli(terms, failure, fmt):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_streamed_paths_match_the_closed_forms(data):
-    spec, srcs, flags = data.draw(cases())
+    spec, srcs, flags, late = data.draw(cases())
     sources = [source for _, source in srcs]
     phi = any(source.name == "phi" for source in sources)
-    start = data.draw(starts(phi), label="start")
-    count = data.draw(st.one_of(st.integers(1, 400), st.integers(400, 6000),
-                                st.sampled_from(BOUNDARY_COUNTS)), label="count")
+    # a late case runs from 1, so that the CLI takes it, for a boundary count
+    start = 1 if late else data.draw(starts(phi), label="start")
+    counts = st.sampled_from(BOUNDARY_COUNTS)
+    if not late:
+        counts = st.one_of(st.integers(1, 400), st.integers(400, 6000), counts)
+    count = data.draw(counts, label="count")
 
     want, exc = outcome(expected_terms(spec, sources, start, count))
     failure = describe(exc, start + len(want))
