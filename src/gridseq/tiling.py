@@ -14,8 +14,9 @@ sum over the side tuples each rule holds (a list's sides and side sums,
 an affine rule's sides laid out as a range), with no per-diagonal table.
 Encoding evaluates the counts once, and with a list rule in one pass: the
 cells ahead of a tile are a single O(d) product sum.  :func:`rect_reader`
-bisects the counts to place a position, O(log n) evaluations, then walks on
-tile by tile with no count.  Rules and specs never change, so they can be shared across threads.
+bisects the counts to place a position, O(log n) evaluations, then walks
+on tile by tile with no count.  Rules and specs never change, so they can
+be shared across threads.
 """
 
 from bisect import bisect_left

@@ -3,8 +3,8 @@
 Hypothesis draws a family with its parameters, its sources (short ``list:``
 sources and small ``pow`` bit budgets among them, so that errors happen), a
 start up to 10^30 and a count that crosses diagonal, shell and 4096-term
-boundaries.  Half the ``superpose`` cases read a ``list:`` source of a
-boundary count's length from the first term for a boundary count, so that
+boundaries.  Half the ``superpose`` cases instead read a ``list:`` source
+whose length is a boundary count, from n = 1 for a boundary count, so that
 they fail late, next to a 4096-term chunk boundary.  ``iter_terms``,
 ``term`` and, where the CLI can take the case, ``cli.main(["generate",
 ...])`` must give the terms of the per-position closed forms
@@ -60,14 +60,6 @@ def sources_st(draw, n, phi):
 
 
 @st.composite
-def long_lists(draw):
-    """A ``list:`` source of a boundary count's length, built whole from a range."""
-    start = draw(st.integers(-2, 40))
-    values = range(start, start + draw(st.sampled_from(BOUNDARY_COUNTS)))
-    return _texts(values), from_list(values)
-
-
-@st.composite
 def cases(draw):
     """(spec, [(text, source)], CLI flags or None, whether the case should fail late)."""
     family = draw(st.sampled_from(sorted(FAMILY_TABLE)))
@@ -88,11 +80,14 @@ def cases(draw):
         fields["inner"] = Scheme(draw(st.sampled_from(ONE_BASED)))
         fields["outer"] = Scheme(draw(st.sampled_from(ONE_BASED)))
     count = draw(st.integers(2, 4)) if row.sources == SEVERAL else row.sources
-    # superpose reads its source near index n, so a long list makes it fail
-    # next to a 4096-term chunk boundary, as near n = 4096 or 8192
+    # superpose reads its source near index n, so a list of a boundary
+    # count's length, built whole from a range, makes it fail next to a
+    # 4096-term chunk boundary, as near n = 4096 or 8192
     late = family == "superpose" and draw(st.booleans())
     if late:
-        srcs = [draw(long_lists())]
+        first = draw(st.integers(-2, 40))
+        values = range(first, first + draw(st.sampled_from(BOUNDARY_COUNTS)))
+        srcs = [(_texts(values), from_list(values))]
     else:
         srcs = draw(sources_st(count, draw(st.booleans())))
     spec = TransformSpec(family, **fields)
