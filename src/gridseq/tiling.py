@@ -199,15 +199,8 @@ class TilingSpec:
     def _cells_before(self, d: int) -> int:
         # cells in tile anti-diagonals 0..d-1
         if self._coeffs is None:
-            # h_1*lsum(d) + h_2*lsum(d-1) + ... + h_d*lsum(1) as one product sum;
-            # lsum(d) is read first, so a short lengths list raises before a
-            # short heights list, and an affine side is laid out only once
-            # the list rules are known to hold d sides
-            if d < 1:
-                return 0
-            self.lengths.total(d)
-            heights = self.heights.sides(0, d)
-            return sum(map(mul, heights, reversed(self.lengths.totals(1, d))))
+            # h_1*lsum(d) + h_2*lsum(d-1) + ... + h_d*lsum(1): the head of tile (0, d)
+            return self._cells_ahead(d, 0)
         # A*C*binom(d+1, 2) + (A*E + B*C)*binom(d+1, 3) + B*E*binom(d+1, 4),
         # in Horner form over the common factor (d+1)*d/24; the division is exact
         A, B, C, E = self._coeffs
@@ -233,7 +226,9 @@ class TilingSpec:
         # _cells_before(d) + _cells_above(d, R) for a spec with a list rule, as
         # one product sum: tile row r contributes h_r*lsum(d + 1 - r + [r <= R]),
         # so h_1..h_d meet lsum(d + 1)..lsum(1) with lsum(d + 1 - R) left out.
-        # Lengths to d, heights to d, then lengths to d + 1 are read, in that order
+        # Lengths to d, heights to d, then lengths to d + 1 are read, in that
+        # order, so a short lengths list raises before a short heights list,
+        # and an affine side is laid out only once the list rules hold d sides
         if d < 1:
             return 0
         self.lengths.total(d)

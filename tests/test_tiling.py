@@ -289,20 +289,11 @@ def test_list_counts_match_loop_sums(lengths, data):
             assert _outcome(rect_encode, i, j, spec, order) == _outcome(rect_encode, i, j, loop, order)
         for n in positions:
             assert _outcome(rect_decode, n, spec, order) == _outcome(rect_decode, n, loop, order)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_any_rules, st.data())
-def test_head_count_matches_loop_sums(lengths, data):
-    # _cells_ahead(d, R), the one count per cell of a list spec's encoder,
-    # gives the loop sums' cells before tile (R, d - R) for every tile of tile
-    # diagonals -1 to past the lists' ends: the same value, or the same
-    # exception with the same message, lengths to d before heights to d
-    # before lengths to d + 1
-    heights = data.draw(_list_rules if lengths.affine else _any_rules)
-    spec, loop = TilingSpec(lengths, heights), LoopTilingSpec(lengths, heights)
-    sides = max(len(rule.values) for rule in (lengths, heights))
-    for d in range(-1, sides + 3):
+    # _cells_ahead(d, R), the one count per cell of a list spec's encoder, for
+    # every tile of tile diagonals -1 to past the longer list's end: lengths
+    # to d are read before heights to d, before lengths to d + 1
+    longest = max(len(rule.values) for rule in (lengths, heights))
+    for d in range(-1, longest + 3):
         for R in range(d + 1):
             assert _outcome(spec._cells_ahead, d, R) == _outcome(loop._cells_ahead, d, R), (d, R)
 
