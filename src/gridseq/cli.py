@@ -239,8 +239,7 @@ def cmd_generate(parser, args) -> int:
             texts.append((template * len(chunk)) % tuple(chunk))
         except ValueError:
             # CPython's %d refuses an int of more digits than its limit
-            limit = (sys.get_int_max_str_digits()
-                     if hasattr(sys, "get_int_max_str_digits") else 0)
+            limit = sys.get_int_max_str_digits()
             unprintable = (f"error at n={start + _first_unprintable(chunk, limit)}: the term "
                            f"has more than {limit} decimal digits, too many to print")
             texts.clear()

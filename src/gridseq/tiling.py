@@ -8,14 +8,15 @@ or by one of two parity-alternating mixes of the two.
 
 Tile side rules are finite descriptions (constant, explicit list, linear
 ramp) so a cover can be written down, parsed back, and reproduced.  A
-constant rule is a ramp with step 0, so every count has two paths: exact
-polynomials when neither rule is a list, and otherwise one O(d) product
-sum over the side tuples each rule holds (a list's sides and side sums,
-an affine rule's sides laid out as a range), with no per-diagonal table.
-Encoding evaluates the counts once, and with a list rule in one pass: the
-cells ahead of a tile are a single O(d) product sum.  :func:`rect_reader`
-bisects the counts to place a position, O(log n) evaluations, then walks
-on tile by tile with no count.  Rules and specs never change, so they can
+constant rule is a ramp with step 0.  One count serves every job: the
+cells ahead of a tile, in the tile diagonals before it and in the tiles
+above it on its own.  It has two paths: exact polynomials when neither
+rule is a list, and otherwise one O(d) product sum over the side tuples
+each rule holds (a list's sides and side sums, an affine rule's sides
+laid out as a range), with no per-diagonal table.  Encoding evaluates it
+once a cell.  :func:`rect_reader` bisects it, over the tile diagonals and
+then over the tile rows, to place a position, O(log n) evaluations, then
+walks on tile by tile with no count.  Rules and specs never change, so they can
 be shared across threads.
 """
 
@@ -194,47 +195,32 @@ class TilingSpec:
 
     def diag_cells(self, d: int) -> int:
         """Total cells in tile anti-diagonals 0..d."""
-        return self._cells_before(d + 1)
+        return self._cells_ahead(d + 1, 0)
 
-    def _cells_before(self, d: int) -> int:
-        # cells in tile anti-diagonals 0..d-1
+    def _cells_ahead(self, d: int, R: int) -> int:
+        # cells in tile anti-diagonals 0..d-1 and in the R tiles above tile (R, d - R)
         if self._coeffs is None:
-            # h_1*lsum(d) + h_2*lsum(d-1) + ... + h_d*lsum(1): the head of tile (0, d)
-            return self._cells_ahead(d, 0)
+            # one product sum: tile row r contributes h_r*lsum(d + 1 - r + [r <= R]),
+            # so h_1..h_d meet lsum(d + 1)..lsum(1) with lsum(d + 1 - R) left out.
+            # Lengths to d, heights to d, then lengths to d + 1 are read, in that
+            # order, so a short lengths list raises before a short heights list,
+            # and an affine side is laid out only once the list rules hold d sides
+            if d < 1:
+                return 0
+            self.lengths.total(d)
+            heights = self.heights.sides(0, d)
+            sums, S = self.lengths.totals(1, d + (R > 0)), d - R
+            return sum(map(mul, heights, reversed(sums[:S] + sums[S + 1:])))
         # A*C*binom(d+1, 2) + (A*E + B*C)*binom(d+1, 3) + B*E*binom(d+1, 4),
         # in Horner form over the common factor (d+1)*d/24; the division is exact
         A, B, C, E = self._coeffs
-        return (d + 1) * d * (12 * A * C + (d - 1) * (4 * (A * E + B * C) + B * E * (d - 2))) // 24
-
-    def _cells_above(self, d: int, R: int) -> int:
-        # cells in the R tiles above tile (R, d - R) on tile anti-diagonal d
-        if self._coeffs is None:
-            # h_1*l_(d+1) + h_2*l_d + ... + h_R*l_(d+2-R) as one product sum;
-            # the callers have counted diagonals 0..d-1, so only l_(d+1) can
-            # lie past a list's end, and the lengths are read first
-            if R < 1:
-                return 0
-            lengths = self.lengths.sides(d + 1 - R, d + 1)
-            return sum(map(mul, self.heights.sides(0, R), reversed(lengths)))
-        # A*K*R + (B*K - A*E)*R(R-1)/2 - B*E*(R-1)R(2R-1)/6 with K = C + E*d,
-        # over the common factor R/6; the division is exact
-        A, B, C, E = self._coeffs
-        K = C + E * d
-        return R * (6 * A * K + (R - 1) * (3 * (B * K - A * E) - B * E * (2 * R - 1))) // 6
-
-    def _cells_ahead(self, d: int, R: int) -> int:
-        # _cells_before(d) + _cells_above(d, R) for a spec with a list rule, as
-        # one product sum: tile row r contributes h_r*lsum(d + 1 - r + [r <= R]),
-        # so h_1..h_d meet lsum(d + 1)..lsum(1) with lsum(d + 1 - R) left out.
-        # Lengths to d, heights to d, then lengths to d + 1 are read, in that
-        # order, so a short lengths list raises before a short heights list,
-        # and an affine side is laid out only once the list rules hold d sides
-        if d < 1:
-            return 0
-        self.lengths.total(d)
-        heights = self.heights.sides(0, d)
-        sums, S = self.lengths.totals(1, d + (R > 0)), d - R
-        return sum(map(mul, heights, reversed(sums[:S] + sums[S + 1:])))
+        ahead = (d + 1) * d * (12 * A * C + (d - 1) * (4 * (A * E + B * C) + B * E * (d - 2))) // 24
+        if R:
+            # plus A*K*R + (B*K - A*E)*R(R-1)/2 - B*E*(R-1)R(2R-1)/6 with K = C + E*d,
+            # over the common factor R/6; the division is exact
+            K = C + E * d
+            ahead += R * (6 * A * K + (R - 1) * (3 * (B * K - A * E) - B * E * (2 * R - 1))) // 6
+        return ahead
 
 
 _KINDS = ("const", "list", "ramp")
@@ -288,18 +274,17 @@ def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], i
     """The function (i, j) -> position of cell (i, j), numbered inside its tile by ``order``.
 
     The order, each rule's split (one ``divmod`` for a step-0 side) and the
-    spec's count methods are bound here, once.  Per cell it checks the cell,
-    splits i by the heights, then j by the lengths, then counts (one
-    ``_cells_ahead`` call with a list rule), so a spec whose lists both run
-    out raises the heights' ``SpecExhaustedError``.
+    spec's count are bound here, once.  Per cell it checks the cell, splits
+    i by the heights, then j by the lengths, then counts the cells ahead of
+    the tile (one ``_cells_ahead`` call), so a spec whose lists both run out
+    raises the heights' ``SpecExhaustedError``.
     """
     order = canonical_order(order)
     # a, c: the side of a step-0 heights or lengths rule, else 0
     a, c = (rule.affine[0] if rule.affine and not rule.affine[1] else 0
             for rule in (spec.heights, spec.lengths))
     split_i, split_j = spec.heights.split, spec.lengths.split
-    before, above = spec._cells_before, spec._cells_above
-    ahead = spec._cells_ahead if spec._coeffs is None else None
+    ahead = spec._cells_ahead
     height, length = spec.height, spec.length
     colwise = order == "col" if order in ("row", "col") else None
 
@@ -307,8 +292,7 @@ def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], i
         _check_cell(i, j)
         R, di = divmod(i - 1, a) if a else split_i(i)
         S, dj = divmod(j - 1, c) if c else split_j(j)
-        d = R + S
-        head = (ahead(d, R) if ahead else before(d) + above(d, R)) + 1
+        head = ahead(R + S, R) + 1
         if colwise or (colwise is None and _colwise(order, R, S)):
             return head + (a or height(R + 1)) * dj + di
         return head + (c or length(S + 1)) * di + dj
@@ -325,13 +309,13 @@ def rect_encode(i: int, j: int, spec: TilingSpec, order: str = "row") -> int:
     return rect_encoder(spec, order)(i, j)
 
 
-def _last_below(count, n: int, hi: int) -> tuple[int, int]:
+def _last_below(count, n: int, below: int, hi: int) -> tuple[int, int]:
     # (x, count(x)) for the largest x in [0, hi) with count(x) < n, where count
-    # increases from count(0) = 0 and n <= count(hi), which is never evaluated;
+    # increases from count(0) = below < n and n <= count(hi), which is never evaluated;
     # hi - 1 goes first, as the callers' bounds are exact when all tiles have one size
     if hi > 1 and (top := count(hi - 1)) < n:
         return hi - 1, top
-    lo, below = 0, 0
+    lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if (c := count(mid)) < n:
@@ -345,8 +329,9 @@ def rect_reader(spec: TilingSpec, order: str = "row") -> tuple[Callable, Callabl
     """The reader (position, cells, size) that walks the tiling tile by tile.
 
     Tile T is tile (R, S) = ``cantor_z_decode(T)``; ``position(n)`` = (T, p)
-    puts n at place p of tile T, and ``cells(T, p, q)`` gives places p..q in
-    ``order``, reading the tile's origin and side once.  Tile T has ``size(T)`` cells.
+    puts n at place p of tile T, bisecting the cells ahead of a tile over the
+    tile diagonals, then the tile rows.  ``cells(T, p, q)`` gives places p..q
+    in ``order``, reading the tile's origin and side once.  Tile T has ``size(T)`` cells.
     """
     order = canonical_order(order)
     height, hsum = spec.heights.side, spec.heights.total
@@ -360,11 +345,11 @@ def rect_reader(spec: TilingSpec, order: str = "row") -> tuple[Callable, Callabl
     def position(n: int) -> tuple[int, int]:
         _check_index(n)
         hi = min(sides) + 1 if sides else diagonal_index(-(-n // flat)) + 1
-        d, before = _last_below(spec._cells_before, n, hi)
-        q = n - before
-        R, above = _last_below(partial(spec._cells_above, d), q, min(d, (q - 1) // flat) + 1)
+        d, before = _last_below(partial(spec._cells_ahead, R=0), n, 0, hi)
+        hi = min(d, (n - before - 1) // flat) + 1
+        R, ahead = _last_below(partial(spec._cells_ahead, d), n, before, hi)
         height(R + 1), length(d - R + 1)  # past a list's end, raise as the geometric walk does
-        return cantor_z(R, d - R), q - above
+        return cantor_z(R, d - R), n - ahead
 
     def tile(T: int) -> tuple[int, int]:  # cantor_z_decode(T), with no checks
         d = (isqrt(8 * T + 1) - 1) // 2

@@ -211,22 +211,24 @@ def _check_exponent(k: int) -> None:
         raise ValueError(f"power-sum exponent must be >= 1, got {k}")
 
 
+# product, power-sum (exponent k) and concat as functions of two terms
+_COMBINE = {"product": lambda k: mul, "power-sum": lambda k: lambda x, y: x ** k + y ** k,
+            "concat": lambda k: concat_numbers}
+
+
 def _combiner(alpha, beta, combiner, k: int) -> Callable:
     """combine(m1, m2): alpha[m1] with beta[m2] under the named (or callable) combiner."""
     a, b = alpha.value, beta.value
-    if callable(combiner):
-        return lambda m1, m2: combiner(a(m1), b(m2))
-    if combiner == "product":
-        return lambda m1, m2: a(m1) * b(m2)
-    if combiner == "power-sum":
-        _check_exponent(k)
-        return lambda m1, m2: a(m1) ** k + b(m2) ** k
-    if combiner == "concat":
-        return lambda m1, m2: concat_numbers(_positive_value(alpha, m1, "concatenation"),
-                                             _positive_value(beta, m2, "concatenation"))
     if combiner == "iterate":
         return lambda m1, m2: _compose(beta, a(m1), m2)
-    raise ValueError(f"unknown combiner {combiner!r}, expected one of {COMBINERS}")
+    if not (callable(combiner) or combiner in _COMBINE):
+        raise ValueError(f"unknown combiner {combiner!r}, expected one of {COMBINERS}")
+    if combiner == "power-sum":
+        _check_exponent(k)
+    if combiner == "concat":  # a non-positive term names its source
+        a, b = (partial(_positive_value, source, use="concatenation") for source in (alpha, beta))
+    combine = combiner if callable(combiner) else _COMBINE[combiner](k)
+    return lambda m1, m2: combine(a(m1), b(m2))
 
 
 def pair_transform(alpha, beta, combiner, n: int, k: int = 1) -> int:
@@ -498,9 +500,8 @@ def _self_compose_block(spec, sources):
 def _pair_block(spec, sources):
     if spec.combiner == "iterate":
         return _column_block(sources[1], _pair_rule(spec, sources))  # beta over the diagonal before
-    alpha, beta, k = sources[0], sources[1], spec.k
-    combine = {"product": mul, "power-sum": lambda a, b: a ** k + b ** k,
-               "concat": concat_numbers}.get(spec.combiner, spec.combiner)
+    alpha, beta = sources[0], sources[1]
+    combine = spec.combiner if callable(spec.combiner) else _COMBINE[spec.combiner](spec.k)
     # concat_numbers raises on a non-positive term, and the redo then
     # raises the array rule's NonPositiveTermError
     return lambda t, p0, p1: list(map(combine, alpha.values(range(p0, p1 + 1)),

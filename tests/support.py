@@ -7,9 +7,9 @@ index family's defining array rule directly, giving the closed forms an
 independent route to be checked against, and ``newton_isqrt`` is a
 loop-based integer square root used to stress the exactness of the
 ``math.isqrt``-based index arithmetic.  ``LoopTilingSpec`` counts the
-tiles of a spec with a ``list`` rule by plain generator sums over the
-per-side methods, the reference for the product sums of ``TilingSpec``
-(``_cells_ahead`` included, which the bound encoder of a list spec calls).
+cells ahead of a tile of a spec with a ``list`` rule by plain generator
+sums over the per-side methods, the reference for the product sum of
+``TilingSpec._cells_ahead``, the one count its encoder and reader call.
 ``outcome`` and ``describe`` reduce a stream of terms to what two
 generation paths must agree on, failures included.
 """
@@ -167,22 +167,14 @@ def loop_cells_above(spec, d, R):
 
 
 class LoopTilingSpec(TilingSpec):
-    """A spec whose list counts are the generator sums above, one side at a time."""
+    """A spec whose list count is the generator sums above, one side at a time."""
 
     __slots__ = ()
 
-    def _cells_before(self, d):
-        if self._coeffs is None:
-            return loop_cells_before(self, d)
-        return super()._cells_before(d)
-
-    def _cells_above(self, d, R):
-        if self._coeffs is None:
-            return loop_cells_above(self, d, R)
-        return super()._cells_above(d, R)
-
     def _cells_ahead(self, d, R):
-        return loop_cells_before(self, d) + loop_cells_above(self, d, R)
+        if self._coeffs is None:
+            return loop_cells_before(self, d) + loop_cells_above(self, d, R)
+        return super()._cells_ahead(d, R)
 
 
 def newton_isqrt(n):

@@ -228,6 +228,8 @@ def test_closed_forms_match_list_sums(lengths, heights, sides, data):
         assert affine.hsum(m) == listed.hsum(m)
     for d in range(sides):
         assert affine.diag_cells(d) == listed.diag_cells(d)
+        for R in range(d + 1):  # the tile-row polynomial, which no method holds alone
+            assert affine._cells_ahead(d, R) == listed._cells_ahead(d, R) == mixed._cells_ahead(d, R), (d, R)
     for x in range(1, listed.lsum(sides) + 1):
         assert lengths.split(x) == listed.lengths.split(x)
     for x in range(1, listed.hsum(sides) + 1):
