@@ -16,8 +16,8 @@ each rule holds (a list's sides and side sums, an affine rule's sides
 laid out as a range), with no per-diagonal table.  Encoding evaluates it
 once a cell.  :func:`rect_reader` bisects it, over the tile diagonals and
 then over the tile rows, to place a position, O(log n) evaluations, then
-walks on tile by tile with no count.  Rules and specs never change, so they can
-be shared across threads.
+walks on tile by tile with no count.  Rules and specs never change, so
+they can be shared across threads.
 """
 
 from bisect import bisect_left

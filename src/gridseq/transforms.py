@@ -221,7 +221,7 @@ def _combiner(alpha, beta, combiner, k: int) -> Callable:
     a, b = alpha.value, beta.value
     if combiner == "iterate":
         return lambda m1, m2: _compose(beta, a(m1), m2)
-    if not (callable(combiner) or combiner in _COMBINE):
+    if not (callable(combiner) or combiner in COMBINERS):
         raise ValueError(f"unknown combiner {combiner!r}, expected one of {COMBINERS}")
     if combiner == "power-sum":
         _check_exponent(k)
