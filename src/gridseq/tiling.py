@@ -16,7 +16,10 @@ each rule holds (a list's sides and side sums, an affine rule's sides
 laid out as a range), with no per-diagonal table.  Encoding evaluates it
 once a cell.  :func:`rect_reader` bisects it, over the tile diagonals and
 then over the tile rows, to place a position, O(log n) evaluations, then
-walks on tile by tile with no count.  Rules and specs never change, so
+walks on tile by tile with no count.  When every tile is a x c (both
+rules step 0), the tiling is Cantor's numbering of the tiles: tile T
+holds cells a*c*T + 1..a*c*(T + 1), so an encode takes no count and a
+decode places n by one ``divmod``.  Rules and specs never change, so
 they can be shared across threads.
 """
 
@@ -270,6 +273,11 @@ def _colwise(order: str, R: int, S: int) -> bool:
     return order == "col"
 
 
+def _equal_tiles(spec: TilingSpec) -> bool:
+    # every tile has one size: both rules are affine with step 0
+    return spec._coeffs is not None and not spec._coeffs[1] and not spec._coeffs[3]
+
+
 def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], int]:
     """The function (i, j) -> position of cell (i, j), numbered inside its tile by ``order``.
 
@@ -277,7 +285,8 @@ def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], i
     spec's count are bound here, once.  Per cell it checks the cell, splits
     i by the heights, then j by the lengths, then counts the cells ahead of
     the tile (one ``_cells_ahead`` call), so a spec whose lists both run out
-    raises the heights' ``SpecExhaustedError``.
+    raises the heights' ``SpecExhaustedError``.  Equal a x c tiles take no
+    count: tile T = ``cantor_z(R, S)`` starts at a*c*T + 1.
     """
     order = canonical_order(order)
     # a, c: the side of a step-0 heights or lengths rule, else 0
@@ -287,6 +296,19 @@ def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], i
     ahead = spec._cells_ahead
     height, length = spec.height, spec.length
     colwise = order == "col" if order in ("row", "col") else None
+    by_tile, area = order == "parity-tile", a * c
+
+    def encode_equal(i: int, j: int) -> int:
+        if i < 1 or j < 1:
+            _check_cell(i, j)
+        R, di = divmod(i - 1, a)
+        S, dj = divmod(j - 1, c)
+        d = R + S
+        T = d * (d + 1) // 2 + R
+        # the parity orders key on the tile diagonal d or the tile number T
+        if colwise or (colwise is None and (T if by_tile else d) % 2):
+            return area * T + 1 + a * dj + di
+        return area * T + 1 + c * di + dj
 
     def encode(i: int, j: int) -> int:
         _check_cell(i, j)
@@ -297,7 +319,7 @@ def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], i
             return head + (a or height(R + 1)) * dj + di
         return head + (c or length(S + 1)) * di + dj
 
-    return encode
+    return encode_equal if _equal_tiles(spec) else encode
 
 
 def rect_encode(i: int, j: int, spec: TilingSpec, order: str = "row") -> int:
@@ -311,10 +333,7 @@ def rect_encode(i: int, j: int, spec: TilingSpec, order: str = "row") -> int:
 
 def _last_below(count, n: int, below: int, hi: int) -> tuple[int, int]:
     # (x, count(x)) for the largest x in [0, hi) with count(x) < n, where count
-    # increases from count(0) = below < n and n <= count(hi), which is never evaluated;
-    # hi - 1 goes first, as the callers' bounds are exact when all tiles have one size
-    if hi > 1 and (top := count(hi - 1)) < n:
-        return hi - 1, top
+    # increases from count(0) = below < n and n <= count(hi), which is never evaluated
     lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -330,8 +349,9 @@ def rect_reader(spec: TilingSpec, order: str = "row") -> tuple[Callable, Callabl
 
     Tile T is tile (R, S) = ``cantor_z_decode(T)``; ``position(n)`` = (T, p)
     puts n at place p of tile T, bisecting the cells ahead of a tile over the
-    tile diagonals, then the tile rows.  ``cells(T, p, q)`` gives places p..q
-    in ``order``, reading the tile's origin and side once.  Tile T has ``size(T)`` cells.
+    tile diagonals, then the tile rows; equal a x c tiles place n by one
+    ``divmod`` by a*c instead.  ``cells(T, p, q)`` gives places p..q in
+    ``order``, reading the tile's origin and side once.  Tile T has ``size(T)`` cells.
     """
     order = canonical_order(order)
     height, hsum = spec.heights.side, spec.heights.total
@@ -351,6 +371,11 @@ def rect_reader(spec: TilingSpec, order: str = "row") -> tuple[Callable, Callabl
         height(R + 1), length(d - R + 1)  # past a list's end, raise as the geometric walk does
         return cantor_z(R, d - R), n - ahead
 
+    def position_equal(n: int) -> tuple[int, int]:
+        _check_index(n)
+        T, p = divmod(n - 1, flat)
+        return T, p + 1
+
     def tile(T: int) -> tuple[int, int]:  # cantor_z_decode(T), with no checks
         d = (isqrt(8 * T + 1) - 1) // 2
         return T - d * (d + 1) // 2, d * (d + 3) // 2 - T
@@ -366,7 +391,7 @@ def rect_reader(spec: TilingSpec, order: str = "row") -> tuple[Callable, Callabl
         R, S = tile(T)
         return height(R + 1) * length(S + 1)
 
-    return position, cells, size
+    return position_equal if _equal_tiles(spec) else position, cells, size
 
 
 def rect_decode(n: int, spec: TilingSpec, order: str = "row") -> Cell:

@@ -22,8 +22,9 @@ read a prefix of their inner sequence that grows by one row per
 diagonal.  In ``self-compose`` (linear) and ``pair --combiner iterate``,
 cell (i, j + 1) is the source (alpha, or beta) at cell (i, j), so their
 block rule maps the source over the diagonal before and adds cell
-(t + 1, 1).  Only ``superpose`` and ``self-compose`` under the
-``doubling`` convention stay on the array rule.
+(t + 1, 1).  ``superpose`` maps the inner encoder and its source over
+the outer run's cells.  Only ``self-compose`` under the ``doubling``
+convention stays on the array rule.
 
 :func:`iter_terms` reads the reader's walk run by run
 (:func:`schemes.runs`) through the block rule, and redoes a run cell by
@@ -379,7 +380,7 @@ def _superpose_rule(spec, sources):
 
 # -- block rules ----------------------------------------------------------------------
 # block(spec, sources) -> read(t, p0, p1), the values of cells p0..p1 of the
-# reader's diagonal or shell t, or None when the family's parameters leave
+# reader's diagonal, shell or tile t, or None when the family's parameters leave
 # it on the array rule.  Anti-diagonal t holds cells p = 1..t+1 at
 # (i, j) = (p, t+2-p); shell s holds q = 1..s at (q, s), then q = s+1..2s-1
 # at (s, 2s-q).  A read must not return where the array rule raises; it may
@@ -506,6 +507,13 @@ def _pair_block(spec, sources):
     # raises the array rule's NonPositiveTermError
     return lambda t, p0, p1: list(map(combine, alpha.values(range(p0, p1 + 1)),
                                       beta.values(range(t + 2 - p0, t + 1 - p1, -1))))
+
+
+def _superpose_block(spec, sources):
+    # the inner numbering over the outer run's cells; a list, not a lazy map,
+    # so that a failing source raises inside the run's redo guard
+    value, encode, cells = sources[0].value, spec.inner.encoder, spec.outer.reader[1]
+    return lambda t, p, q: list(map(value, starmap(encode, cells(t, p, q))))
 
 
 # -- affine families ----------------------------------------------------------------------
@@ -653,7 +661,7 @@ FAMILY_TABLE = {
     # source (j - 1) mod (l - 1) at i - j + 1, or the last source at j - i above the diagonal
     "segment-braid": _affine_family(SEVERAL, _fixed(_form(1, 1, -1, _BUT_LAST, -1, 0, 1),
                                                      _form(0, -1, 1, _LAST))),
-    "superpose": Family(1, ("inner", "outer"), _superpose_rule, reader=None),
+    "superpose": Family(1, ("inner", "outer"), _superpose_rule, reader=None, block=_superpose_block),
 }
 FAMILIES = tuple(FAMILY_TABLE)
 

@@ -9,8 +9,8 @@ import pytest
 from gridseq import cli, oeis, oracle
 from gridseq.oracle import VerificationReport
 from gridseq.schemes import Scheme, parse_scheme
-from gridseq.sources import parse_source
-from gridseq.transforms import FAMILIES, FAMILY_TABLE, SEVERAL, TransformSpec, generate_prefix
+from gridseq.sources import SourceError, parse_source
+from gridseq.transforms import FAMILIES, FAMILY_TABLE, SEVERAL, TransformSpec, generate_prefix, term
 from support import direct_term
 
 
@@ -186,6 +186,24 @@ def test_generate_source_error_past_the_first_chunk(capsys, fmt, rows, chunk):
                          "--count", "9000", "--format", fmt)
     assert (code, out) == (3, "")
     assert err.startswith(f"error at n={first_bad}: ")
+
+
+def test_superpose_of_tilings_fails_past_the_first_chunk(capsys):
+    # the inner numbering of 3x2 tiles passes the list's 20000 terms in the
+    # second chunk of the outer ramp tiling's walk; the block read of that
+    # run fails, and the redo names the cell the array rule names
+    inner, outer = "tiling:const:3x2:row", "tiling:ramp:1+1x1+1:parity-tile"
+    position = {cell: n for n, cell in enumerate(islice(oracle.iter_cells(parse_scheme(inner)), 20_000), 1)}
+    first_bad = next(n for n, cell in enumerate(oracle.iter_cells(parse_scheme(outer)), 1)
+                     if cell not in position)
+    assert (first_bad - 1) // cli.OUTPUT_CHUNK + 1 == 2
+    alpha = _list_source(range(1, 20_001))
+    spec = TransformSpec("superpose", inner=parse_scheme(inner), outer=parse_scheme(outer))
+    with pytest.raises(SourceError) as exc:
+        term(spec, parse_source(alpha), first_bad)
+    code, out, err = run(capsys, "generate", "--family", "superpose", "--inner", inner,
+                         "--outer", outer, "--alpha", alpha, "--count", "9000")
+    assert (code, out, err) == (3, "", f"error at n={first_bad}: {exc.value}\n")
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])

@@ -3,9 +3,10 @@
 Hypothesis draws a family with its parameters, its sources (short ``list:``
 sources and small ``pow`` bit budgets among them, so that errors happen), a
 start up to 10^30 and a count that crosses diagonal, shell and 4096-term
-boundaries.  One ``superpose`` case in four instead reads a ``list:`` source
-whose length is a boundary count, from n = 1 for a boundary count, so that
-they fail late, next to a 4096-term chunk boundary.  ``iter_terms``,
+boundaries; ``superpose`` draws tilings among its schemes.  One
+``superpose`` case in four instead reads a ``list:`` source whose length
+is a boundary count, from n = 1 for a boundary count, so that they fail
+late, next to a 4096-term chunk boundary.  ``iter_terms``,
 ``term`` and, where the CLI can take the case, ``cli.main(["generate",
 ...])`` must give the terms of the per-position closed forms
 (``support.direct_term``), or fail as they do: the same exception type,
@@ -26,12 +27,15 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from gridseq import cli, transforms as tr
 from gridseq.pairing import triangle
-from gridseq.schemes import SIMPLE_KINDS, Scheme
+from gridseq.schemes import SIMPLE_KINDS, Scheme, parse_scheme
 from gridseq.sources import SourceError, euler_phi, from_list, identity, power_base, primes
 from gridseq.transforms import COMBINERS, CONVENTIONS, FAMILY_TABLE, SEVERAL, TransformSpec
 from support import describe, direct_term, outcome
 
 ONE_BASED = [kind for kind in SIMPLE_KINDS if kind != "cantor0"]
+# superpose also reads equal and growing tiles, as its inner or its outer scheme
+TILINGS = ["tiling:const:3x2:row", "tiling:const:1x4:parity-tile", "tiling:ramp:2+0x3+0:col",
+           "tiling:ramp:1+1x1+1:parity-diag"]
 # the totient's cost grows with the square root of its argument, so phi is
 # drawn only with starts whose source indices stay near 10^7 or below
 PHI_START_MAX = 10**12
@@ -77,8 +81,8 @@ def cases(draw):
     if family == "eta":
         fields["d"] = draw(st.integers(1, 6))
     if family == "superpose":
-        fields["inner"] = Scheme(draw(st.sampled_from(ONE_BASED)))
-        fields["outer"] = Scheme(draw(st.sampled_from(ONE_BASED)))
+        fields["inner"] = parse_scheme(draw(st.sampled_from(ONE_BASED + TILINGS)))
+        fields["outer"] = parse_scheme(draw(st.sampled_from(ONE_BASED + TILINGS)))
     count = draw(st.integers(2, 4)) if row.sources == SEVERAL else row.sources
     # superpose reads its source near index n, so a list of a boundary
     # count's length, built whole from a range, makes it fail next to a
@@ -93,7 +97,7 @@ def cases(draw):
         srcs = draw(sources_st(count, draw(st.booleans())))
     spec = TransformSpec(family, **fields)
     for name, value in fields.items():
-        flags += [f"--{name}", value.kind if isinstance(value, Scheme) else str(value)]
+        flags += [f"--{name}", value.text() if isinstance(value, Scheme) else str(value)]
     texts = [text for text, _ in srcs]
     if None in texts or callable(spec.combiner):
         return spec, srcs, None, late

@@ -405,20 +405,90 @@ def test_walk_steps_where_decode_lands(lengths, heights, order, start, length):
     assert _read(_walk_from(scheme, start, length), start) == _read(decoded, start)
 
 
-@pytest.mark.parametrize("text", ("const:3x2", "ramp:1+1x1+1"))
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments in the returned list."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("text", ("const:3x2", "ramp:1+1x1+1", "ramp:2+0x3+0"))
 @pytest.mark.parametrize("start", (1, 10**30))
 def test_walk_bisects_only_for_its_start(text, start, monkeypatch):
-    # a walk bisects the counts to place its start and then steps: over 20k
-    # cells and many tiles, two bisections in all (the tile diagonal, then
-    # the tile), where decoding each position would take two per cell
+    # a walk places its start and then steps: over 20k cells and many tiles,
+    # the ramp bisects twice in all (the tile diagonal, then the tile), where
+    # decoding each position would take two per cell; equal tiles place the
+    # start by one divmod, with no bisection and no count at all
     scheme = tiling_scheme(text, "parity-tile")
     expected = [schemes.decode(scheme, n) for n in (start, start + 9_999, start + 19_999)]
-    calls = []
-    last_below = tiling._last_below
-    monkeypatch.setattr(tiling, "_last_below", lambda *args: calls.append(args) or last_below(*args))
+    bisections = _counted(monkeypatch, tiling, "_last_below")
+    counts = _counted(monkeypatch, TilingSpec, "_cells_ahead")
     cells = list(islice(schemes.walk(scheme, start), 20_000))
     assert [cells[0], cells[9_999], cells[19_999]] == expected
-    assert len(calls) == 2
+    if text == "ramp:1+1x1+1":
+        assert len(bisections) == 2
+    else:
+        assert (len(bisections), len(counts)) == (0, 0)
+
+
+# -- equal tiles: Cantor's numbering of the tiles, times the tile area ------------------
+
+# the tile sides a (heights) and c (lengths): small, or one near 10^20
+_tile_side = st.one_of(st.integers(1, 9), st.integers(10**20 - 3, 10**20 + 3))
+_equal_orders = st.sampled_from((*tiling.ORDERS, "parity", "column"))
+
+
+def _equal_scheme(kind, a, c, order):
+    text = f"const:{c}x{a}" if kind == "const" else f"ramp:{c}+0x{a}+0"
+    return tiling_scheme(text, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("const", "ramp")), _tile_side, _tile_side, _equal_orders,
+       st.lists(st.tuples(st.integers(1, 10**30), st.integers(1, 10**30)), min_size=1, max_size=6),
+       st.lists(st.integers(1, 10**30), min_size=1, max_size=6))
+def test_equal_tiles_encode_by_the_count_and_decode_back(kind, a, c, order, cells, positions):
+    # the closed form against the general count: the cells ahead of tile
+    # (R, S), then the cell's place in the tile under the order
+    scheme = _equal_scheme(kind, a, c, order)
+    spec = scheme.tiling
+    for i, j in cells:
+        R, di = divmod(i - 1, a)
+        S, dj = divmod(j - 1, c)
+        place = a * dj + di if tiling._colwise(scheme.order, R, S) else c * di + dj
+        n = schemes.encode(scheme, i, j)
+        assert n == spec._cells_ahead(R + S, R) + 1 + place
+        assert schemes.decode(scheme, n) == (i, j)
+    for n in positions:
+        assert schemes.encode(scheme, *schemes.decode(scheme, n)) == n
+    for i, j in ((0, 1), (1, 0), (-2, 5)):
+        with pytest.raises(ValueError, match="cell coordinates must be >= 1"):
+            schemes.encode(scheme, i, j)
+    with pytest.raises(ValueError, match="position must be >= 1"):
+        schemes.decode(scheme, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("const", "ramp")), _tile_side, _tile_side, _equal_orders)
+def test_equal_tiles_match_the_oracle(kind, a, c, order):
+    scheme = _equal_scheme(kind, a, c, order)
+    cells = list(islice(oracle.iter_cells(scheme), 5_000))
+    assert [schemes.encode(scheme, i, j) for i, j in cells] == list(range(1, 5_001))
+    assert [schemes.decode(scheme, n) for n in range(1, 5_001)] == cells
+
+
+@pytest.mark.parametrize("order", tiling.ORDERS)
+def test_equal_tiles_take_no_count(order, monkeypatch):
+    # 10^4 encodes, 10^4 decodes and a 10^4-cell walk from far out make no
+    # count and no bisection: the scheme is built once the counters are in
+    counts = _counted(monkeypatch, TilingSpec, "_cells_ahead")
+    bisections = _counted(monkeypatch, tiling, "_last_below")
+    scheme = tiling_scheme("const:3x2", order)
+    for i in range(1, 101):
+        for j in range(10**20, 10**20 + 100):
+            assert schemes.decode(scheme, schemes.encode(scheme, i, j)) == (i, j)
+    assert len(list(islice(schemes.walk(scheme, 10**30), 10_000))) == 10_000
+    assert (len(counts), len(bisections)) == (0, 0)
 
 
 def _specs():

@@ -410,6 +410,10 @@ def rule_cases():
         (spec("segment-braid"), two),
         (spec("superpose", inner=Scheme("angle"), outer=Scheme("boustrophedon")), [IDENT]),
         (spec("superpose", inner=Scheme("oxplow"), outer=Scheme("edges-in")), [IDENT]),
+        (spec("superpose", inner=parse_scheme("tiling:const:3x2:row"),
+              outer=Scheme("center-out")), [IDENT]),
+        (spec("superpose", inner=parse_scheme("tiling:ramp:1+1x2+0:parity-tile"),
+              outer=Scheme("alternating")), [IDENT]),
     ]
     for family in FAMILIES:
         if "shift" in family:
@@ -425,8 +429,10 @@ def case_id(case):
     if isinstance(case, int):
         return str(case)
     spec, sources = case
+    # a tiling scheme of superpose names itself
+    tilings = "".join(f"-{s}" for s in (spec.inner, spec.outer) if s is not None and s.kind == "tiling")
     return f"{spec.family}-k{spec.k}-d{spec.d}-{getattr(spec.combiner, '__name__', spec.combiner)}" \
-           f"-{spec.convention}-{len(sources)}"
+           f"-{spec.convention}-{len(sources)}{tilings}"
 
 
 def with_positions(cases):
@@ -555,6 +561,10 @@ class CountingSource(SequenceSource):
 BLOCK_CASES = [(spec, len(sources)) for spec, sources in RULE_CASES
                if FAMILY_TABLE[spec.family].block is not None
                and FAMILY_TABLE[spec.family].block(spec, sources) is not None]
+# a tiling outer takes a square root per tile, so it stays out of the
+# one-root gate over RULE_CASES
+BLOCK_CASES.append((TransformSpec("superpose", inner=parse_scheme("tiling:const:3x2:col"),
+                                  outer=parse_scheme("tiling:ramp:1+1x1+1:parity-diag")), 1))
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda case: case_id((case[0], [0] * case[1])))

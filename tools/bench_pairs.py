@@ -18,7 +18,7 @@ k is odd.  A failing run stops the tool with the workload, pair and side it
 failed on.  The record holds, for every end-to-end metric of the parent's
 BENCHMARK.json, each side's runs, median and quartiles (inclusive method),
 the number of pairs in which the change reads better (ties count for neither
-side), and the ratio of the medians.  ``host`` is read from run.py's ``info`` line.
+side), and the ratio of the medians, and each run's ``info.rounds``.  ``host`` is read from run.py's ``info`` line.
 Only the temporary directories and ``--out`` are written.
 """
 
@@ -89,6 +89,9 @@ def record(runs: dict, pairs: dict[str, int], seed: int, metrics: list[dict]) ->
             "failed": {s: sum(r["failed"] for r in results[s]) for s in SIDES},
             "attempted": {s: sum(r["attempted"] for r in results[s]) for s in SIDES},
             "correct": {s: all(r["correct"] for r in results[s]) for s in SIDES},
+            # rounds each run fitted into its seconds: the harness keeps every
+            # round, so peak_rss_mb grows with them
+            "rounds": {s: [runs[w, k, s][0]["rounds"] for k in range(n)] for s in SIDES},
             "metrics": {},
         }
         for m in metrics:
