@@ -49,11 +49,8 @@ from .tiling import (
     TilingSpec,
     const_rule,
     list_rule,
-    locate_tile,
     parse_tiling_spec,
     ramp_rule,
-    rect_decode,
-    rect_encode,
     rect_encoder,
 )
 from .transforms import (

@@ -15,34 +15,6 @@ from pathlib import Path
 CACHE_ENV = "GRIDSEQ_OEIS_CACHE"
 URL_PATTERN = "https://oeis.org/A{num:06d}/b{num:06d}.txt"
 
-#: A-numbers with shipped offline fixtures (>= 100 terms each).
-FIXTURE_ANUMS = (
-    "A000010",
-    "A000040",
-    "A002024",
-    "A002260",
-    "A004736",
-    "A004738",
-    "A004739",
-    "A006450",
-    "A010554",
-    "A049099",
-    "A049100",
-    "A056011",
-    "A056023",
-    "A060734",
-    "A060736",
-    "A064578",
-    "A066686",
-    "A081344",
-    "A128076",
-    "A131914",
-    "A143182",
-    "A194982",
-    "A204004",
-    "A204008",
-)
-
 
 class BFileFormatError(ValueError):
     def __init__(self, message, line_number):

@@ -91,15 +91,15 @@ def _shell_oxplow(s: int) -> list[Cell]:
 
 
 def _iter_tiling(scheme: Scheme) -> Iterator[Cell]:
-    spec = scheme.tiling
+    height, length = scheme.tiling.heights.side, scheme.tiling.lengths.side
     ordinal = 0  # tiles already emitted; keys the parity-tile order
     rows_above = [0]  # rows_above[R]: grid rows in tile rows 0..R-1, summed here
     cols_left = [0]
     for d in _count():
         for R in range(d + 1):
             S = d - R
-            h = spec.height(R + 1)
-            l = spec.length(S + 1)
+            h = height(R + 1)
+            l = length(S + 1)
             i0 = rows_above[R]
             j0 = cols_left[S]
             if scheme.order == "col":
@@ -116,8 +116,8 @@ def _iter_tiling(scheme: Scheme) -> Iterator[Cell]:
                 yield from ((i0 + a, j0 + b) for a in range(1, h + 1) for b in range(1, l + 1))
             ordinal += 1
         # tile row d and tile column d were both just read, so these cannot run out
-        rows_above.append(rows_above[-1] + spec.height(d + 1))
-        cols_left.append(cols_left[-1] + spec.length(d + 1))
+        rows_above.append(rows_above[-1] + height(d + 1))
+        cols_left.append(cols_left[-1] + length(d + 1))
 
 
 def iter_cells(scheme: Scheme) -> Iterator[Cell]:

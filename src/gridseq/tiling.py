@@ -21,6 +21,10 @@ rules step 0), the tiling is Cantor's numbering of the tiles: tile T
 holds cells a*c*T + 1..a*c*(T + 1), so an encode takes no count and a
 decode places n by one ``divmod``.  Rules and specs never change, so
 they can be shared across threads.
+
+Bind :func:`rect_encoder` once per spec and order to encode; decode and
+walk with ``schemes.decode`` and ``schemes.walk`` over :func:`rect_reader`.
+Sides, side sums and splits are read from ``spec.lengths`` and ``spec.heights``.
 """
 
 from bisect import bisect_left
@@ -50,33 +54,32 @@ def canonical_order(order: str) -> str:
 
 @dataclass(frozen=True)
 class SideRule:
-    """Rule producing the m-th tile side (1-based): const c, explicit list, or a + b*(m-1)."""
+    """Rule producing the m-th tile side (1-based): an explicit list, or start + step*(m-1).
+
+    A ``const`` rule is the ramp with step 0, kept as a kind so that its text reads back."""
 
     kind: str  # "const" | "list" | "ramp"
-    const: int = 0
     values: tuple[int, ...] = ()
     start: int = 0
     step: int = 0
 
     def __post_init__(self):
-        if self.kind == "const":
-            if self.const < 1:
-                raise ValueError("constant tile side must be >= 1")
-            affine = (self.const, 0)
-        elif self.kind == "list":
+        if self.kind == "list":
             if not self.values or any(v < 1 for v in self.values):
                 raise ValueError("tile side list must be non-empty with sides >= 1")
-            affine = None
             object.__setattr__(self, "_sums", tuple(accumulate(self.values, initial=0)))
-        elif self.kind == "ramp":
-            if self.start < 1 or self.step < 0:
-                raise ValueError("ramp must start >= 1 with a non-negative step")
-            affine = (self.start, self.step)
-        else:
+        elif self.kind == "const":
+            if self.start < 1:
+                raise ValueError("constant tile side must be >= 1")
+            if self.step:
+                raise ValueError("constant tile side rule must have step 0")
+        elif self.kind != "ramp":
             raise ValueError(f"unknown side rule kind {self.kind!r}")
+        elif self.start < 1 or self.step < 0:
+            raise ValueError("ramp must start >= 1 with a non-negative step")
         # fixed here, so no later call grows anything: affine = (a, b) with
         # side(m) = a + b*(m-1), None for a list, whose _sums[m] = sides 1..m
-        object.__setattr__(self, "affine", affine)
+        object.__setattr__(self, "affine", None if self.kind == "list" else (self.start, self.step))
 
     def side(self, m: int) -> int:
         if m < 1:
@@ -90,6 +93,8 @@ class SideRule:
 
     def total(self, m: int) -> int:
         """Sum of the first m sides (0 for m = 0)."""
+        if m < 0:
+            raise ValueError(f"side count m must be >= 0, got {m}")
         if self.affine:
             a, b = self.affine
             return a * m + b * (m * (m - 1) // 2)
@@ -116,6 +121,8 @@ class SideRule:
 
     def split(self, x: int) -> tuple[int, int]:
         """(m, k) for coordinate x >= 1: m whole tiles lie before it, k cells of tile m + 1 too."""
+        if x < 1:
+            raise ValueError(f"coordinate x must be >= 1, got {x}")
         if self.affine:
             a, b = self.affine
             if b == 0:
@@ -135,14 +142,14 @@ class SideRule:
 
     def text(self) -> str:
         if self.kind == "const":
-            return str(self.const)
+            return str(self.start)
         if self.kind == "ramp":
             return f"{self.start}+{self.step}"
         return ",".join(str(v) for v in self.values)
 
 
 def const_rule(c: int) -> SideRule:
-    return SideRule("const", const=c)
+    return SideRule("const", start=c)
 
 
 def list_rule(values) -> SideRule:
@@ -182,23 +189,6 @@ class TilingSpec:
         kind = self.heights.kind
         heights = self.heights.text() if kind == self.lengths.kind else f"{kind}:{self.heights.text()}"
         return f"{self.lengths.kind}:{self.lengths.text()}x{heights}"
-
-    def length(self, m: int) -> int:
-        return self.lengths.side(m)
-
-    def height(self, m: int) -> int:
-        return self.heights.side(m)
-
-    def lsum(self, m: int) -> int:
-        """l_1 + ... + l_m (0 for m = 0)."""
-        return self.lengths.total(m)
-
-    def hsum(self, m: int) -> int:
-        return self.heights.total(m)
-
-    def diag_cells(self, d: int) -> int:
-        """Total cells in tile anti-diagonals 0..d."""
-        return self._cells_ahead(d + 1, 0)
 
     def _cells_ahead(self, d: int, R: int) -> int:
         # cells in tile anti-diagonals 0..d-1 and in the R tiles above tile (R, d - R)
@@ -258,12 +248,6 @@ def parse_tiling_spec(text: str) -> TilingSpec:
         raise ValueError(f"bad tiling spec {text!r}: {exc}") from None
 
 
-def locate_tile(i: int, j: int, spec: TilingSpec) -> tuple[int, int]:
-    """(R, S): whole tile rows above and whole tile columns left of cell (i, j)."""
-    _check_cell(i, j)
-    return spec.heights.split(i)[0], spec.lengths.split(j)[0]
-
-
 def _colwise(order: str, R: int, S: int) -> bool:
     # parity-tile keys to the tile's zero-based number in the tile enumeration
     if order == "parity-diag":
@@ -294,7 +278,7 @@ def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], i
             for rule in (spec.heights, spec.lengths))
     split_i, split_j = spec.heights.split, spec.lengths.split
     ahead = spec._cells_ahead
-    height, length = spec.height, spec.length
+    height, length = spec.heights.side, spec.lengths.side
     colwise = order == "col" if order in ("row", "col") else None
     by_tile, area = order == "parity-tile", a * c
 
@@ -320,15 +304,6 @@ def rect_encoder(spec: TilingSpec, order: str = "row") -> Callable[[int, int], i
         return head + (c or length(S + 1)) * di + dj
 
     return encode_equal if _equal_tiles(spec) else encode
-
-
-def rect_encode(i: int, j: int, spec: TilingSpec, order: str = "row") -> int:
-    """Position of cell (i, j), numbered inside its tile by ``order`` (one of ORDERS).
-
-    This binds ``rect_encoder(spec, order)`` for the one cell; to encode
-    many cells of one spec, bind the encoder once and call it.
-    """
-    return rect_encoder(spec, order)(i, j)
 
 
 def _last_below(count, n: int, below: int, hi: int) -> tuple[int, int]:
@@ -392,10 +367,3 @@ def rect_reader(spec: TilingSpec, order: str = "row") -> tuple[Callable, Callabl
         return height(R + 1) * length(S + 1)
 
     return position_equal if _equal_tiles(spec) else position, cells, size
-
-
-def rect_decode(n: int, spec: TilingSpec, order: str = "row") -> Cell:
-    """Cell at position n: ``rect_reader(spec, order)``'s tile and place of n, then that cell."""
-    position, cells, _ = rect_reader(spec, order)
-    T, p = position(n)
-    return next(cells(T, p, p))

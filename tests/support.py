@@ -8,7 +8,7 @@ independent route to be checked against, and ``newton_isqrt`` is a
 loop-based integer square root used to stress the exactness of the
 ``math.isqrt``-based index arithmetic.  ``LoopTilingSpec`` counts the
 cells ahead of a tile of a spec with a ``list`` rule by plain generator
-sums over the per-side methods, the reference for the product sum of
+sums over the rules' per-side methods, the reference for the product sum of
 ``TilingSpec._cells_ahead``, the one count its encoder and reader call.
 ``outcome`` and ``describe`` reduce a stream of terms to what two
 generation paths must agree on, failures included.
@@ -158,12 +158,12 @@ def describe(exc, position):
 
 def loop_cells_before(spec, d):
     """Cells in tile anti-diagonals 0..d-1: h_r * lsum(d + 1 - r) summed over r = 1..d."""
-    return sum(spec.height(r) * spec.lsum(d + 1 - r) for r in range(1, d + 1))
+    return sum(spec.heights.side(r) * spec.lengths.total(d + 1 - r) for r in range(1, d + 1))
 
 
 def loop_cells_above(spec, d, R):
     """Cells in the R tiles above tile (R, d - R): h_r * l_(d + 2 - r) summed over r = 1..R."""
-    return sum(spec.height(r) * spec.length(d + 2 - r) for r in range(1, R + 1))
+    return sum(spec.heights.side(r) * spec.lengths.side(d + 2 - r) for r in range(1, R + 1))
 
 
 class LoopTilingSpec(TilingSpec):

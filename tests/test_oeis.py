@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 import gridseq
 from gridseq import oeis, transforms as tr
 from gridseq.oeis import (
-    FIXTURE_ANUMS,
     BFileFormatError,
     BFileRecord,
     CacheWriteError,
@@ -66,7 +66,13 @@ def test_normalize_anum():
 
 
 def test_fixture_integrity():
-    for anum in FIXTURE_ANUMS:
+    # every shipped b-file, so that a fixture added to the package is checked too
+    shipped = sorted(f.name for f in resources.files("gridseq").joinpath("oeis_fixtures").iterdir()
+                     if f.name.startswith("b") and f.name.endswith(".txt"))
+    assert shipped
+    for name in shipped:
+        anum = normalize_anum(name[1:-4])
+        assert name == f"b{anum[1:]}.txt"
         records = load_fixture(anum)
         assert len(records) >= 100, anum
         assert records[0].index == 1, anum

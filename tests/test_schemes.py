@@ -40,7 +40,7 @@ def test_parse_tiling_compound():
     s = parse_scheme("tiling:const:3x2:row")
     assert s.kind == "tiling"
     assert s.order == "row"
-    assert s.tiling.length(1) == 3 and s.tiling.height(1) == 2
+    assert s.tiling.lengths.side(1) == 3 and s.tiling.heights.side(1) == 2
     assert parse_scheme(s.text()) == s
     assert parse_scheme("tiling:ramp:1+1x1+1:parity") == tiling_scheme("ramp:1+1x1+1", "parity-diag")
 

@@ -13,11 +13,9 @@ from gridseq.tiling import (
     TilingSpec,
     const_rule,
     list_rule,
-    locate_tile,
     parse_tiling_spec,
     ramp_rule,
-    rect_decode,
-    rect_encode,
+    rect_encoder,
 )
 from support import CONST32_TILING_CELLS, RAMP_TILING_CELLS, LoopTilingSpec, describe, outcome
 
@@ -30,32 +28,39 @@ LIST15 = "list:3,1,4,1,5,9,2,6,5,3,5,8,9,7,9x2,7,1,8,2,8,1,8,2,8,4,5,9,4,5"
 MIXED15_REACH = 3_000
 
 
+def _tile_of(i, j, spec):
+    """(R, S): the whole tile rows above and the whole tile columns left of cell (i, j)."""
+    return spec.heights.split(i)[0], spec.lengths.split(j)[0]
+
+
 def test_published_first_terms_const_3x2():
-    assert [rect_encode(i, j, CONST32) for i, j in CONST32_TILING_CELLS] == list(
+    encode = rect_encoder(CONST32)
+    assert [encode(i, j) for i, j in CONST32_TILING_CELLS] == list(
         range(1, len(CONST32_TILING_CELLS) + 1)
     )
 
 
 def test_published_first_terms_ramp():
-    assert [rect_encode(i, j, RAMP) for i, j in RAMP_TILING_CELLS] == list(
+    encode = rect_encoder(RAMP)
+    assert [encode(i, j) for i, j in RAMP_TILING_CELLS] == list(
         range(1, len(RAMP_TILING_CELLS) + 1)
     )
 
 
 def test_locate_tile():
-    assert locate_tile(3, 1, CONST22) == (1, 0)
-    assert locate_tile(1, 1, RAMP) == (0, 0)
-    assert locate_tile(1, 1, CONST32) == (0, 0)
-    assert locate_tile(2, 4, RAMP) == (1, 2)  # prefix sums 1, 3, 6 against i=2, j=4
+    assert _tile_of(3, 1, CONST22) == (1, 0)
+    assert _tile_of(1, 1, RAMP) == (0, 0)
+    assert _tile_of(1, 1, CONST32) == (0, 0)
+    assert _tile_of(2, 4, RAMP) == (1, 2)  # prefix sums 1, 3, 6 against i=2, j=4
 
 
 def test_locate_tile_spec_exhausted():
     spec = TilingSpec(list_rule([2, 1]), list_rule([1, 2]))
-    assert locate_tile(3, 3, spec) == (1, 1)
+    assert _tile_of(3, 3, spec) == (1, 1)
     with pytest.raises(SpecExhaustedError):
-        locate_tile(1, 4, spec)
+        _tile_of(1, 4, spec)
     with pytest.raises(SpecExhaustedError):
-        locate_tile(4, 1, spec)
+        _tile_of(4, 1, spec)
 
 
 def test_side_list_error_names_the_first_missing_entry():
@@ -67,70 +72,90 @@ def test_side_list_error_names_the_first_missing_entry():
         assert str(err.value) == f"side list has 3 entries, needed entry {entry}"
 
 
+@pytest.mark.parametrize("rule", (const_rule(3), ramp_rule(1, 1), ramp_rule(2, 0), list_rule([1, 2, 3])),
+                         ids=("const", "ramp", "ramp-step-0", "list"))
+def test_rules_refuse_arguments_out_of_range(rule):
+    # a negative side count and a coordinate below 1 raise, naming the
+    # argument, as a side index below 1 does, rather than return a wrong value
+    with pytest.raises(ValueError, match="tile side index is 1-based"):
+        rule.side(0)
+    for m in (-1, -2):
+        with pytest.raises(ValueError, match=f"side count m must be >= 0, got {m}"):
+            rule.total(m)
+    for x in (0, -1):
+        with pytest.raises(ValueError, match=f"coordinate x must be >= 1, got {x}"):
+            rule.split(x)
+    assert (rule.total(0), rule.split(1)) == (0, (0, 0))
+
+
 def test_rowwise_examples():
-    assert rect_encode(1, 4, CONST32) == 7
-    assert rect_encode(2, 3, CONST32) == 6
-    assert rect_encode(2, 1, RAMP, "row") == 4
+    encode = rect_encoder(CONST32)
+    assert encode(1, 4) == 7
+    assert encode(2, 3) == 6
+    assert rect_encoder(RAMP, "row")(2, 1) == 4
 
 
 def test_colwise_examples():
     unit = parse_tiling_spec("const:1x1")
-    assert rect_encode(2, 1, unit, "col") == 3
-    assert rect_encode(2, 1, CONST32, "col") == 2
-    assert rect_encode(1, 4, CONST32, "column") == 7
+    assert rect_encoder(unit, "col")(2, 1) == 3
+    assert rect_encoder(CONST32, "col")(2, 1) == 2
+    assert rect_encoder(CONST32, "column")(1, 4) == 7
 
 
 def test_parity_examples():
     unit = parse_tiling_spec("const:1x1")
+    by_diag, by_tile = rect_encoder(unit, "parity-diag"), rect_encoder(unit, "parity-tile")
     for i in range(1, 12):
         for j in range(1, 12):
-            assert rect_encode(i, j, unit, "parity-diag") == pairing.cantor_encode(i, j)
-            assert rect_encode(i, j, unit, "parity-tile") == pairing.cantor_encode(i, j)
-    assert rect_encode(1, 1, CONST22, "parity-diag") == 1
+            assert by_diag(i, j) == pairing.cantor_encode(i, j)
+            assert by_tile(i, j) == pairing.cantor_encode(i, j)
+    encode = rect_encoder(CONST22, "parity-diag")
+    assert encode(1, 1) == 1
     # tile diagonal 1 is odd, so its tiles are numbered column by column
-    assert rect_encode(2, 3, CONST22, "parity-diag") == 6
-    assert rect_encode(1, 4, CONST22, "parity") == 7
+    assert encode(2, 3) == 6
+    assert rect_encoder(CONST22, "parity")(1, 4) == 7
 
 
 def test_parity_sources_differ():
     # tile (0, 2) sits on an even tile diagonal but carries an odd tile
     # number, so the two parity sources number its interior differently
     spec = CONST22
-    assert rect_encode(1, 6, spec, "parity-diag") != rect_encode(1, 6, spec, "parity-tile")
+    assert rect_encoder(spec, "parity-diag")(1, 6) != rect_encoder(spec, "parity-tile")(1, 6)
     for by in ("diag", "tile"):
         report = oracle.verify_scheme(tiling_scheme("const:2x2", f"parity-{by}"), 500)
         assert report.ok, str(report)
 
 
 def test_const_fast_path_examples():
-    assert rect_encode(1, 4, CONST32) == 7
-    unit = TilingSpec(const_rule(1), const_rule(1))
+    assert rect_encoder(CONST32)(1, 4) == 7
+    unit = rect_encoder(TilingSpec(const_rule(1), const_rule(1)))
     for i in range(1, 50):
         for j in range(1, 51 - i):
-            assert rect_encode(i, j, unit) == pairing.cantor_encode(i, j)
+            assert unit(i, j) == pairing.cantor_encode(i, j)
     # (3, 3) sits in the fifth tile of the 2x2 cover, so its block is 17..20
-    assert rect_encode(3, 3, CONST22) == 17
+    assert rect_encoder(CONST22)(3, 3) == 17
 
 
 def test_const_fast_path_agrees_with_general_encode():
     for l, h in ((2, 2), (3, 2), (1, 4), (5, 3)):
-        spec = TilingSpec(const_rule(l), const_rule(h))
+        encode = rect_encoder(TilingSpec(const_rule(l), const_rule(h)))
         cells = oracle.traverse(tiling_scheme(f"const:{l}x{h}", "row"), 2_000)
         for n, (i, j) in enumerate(cells, 1):
             # the textbook position for constant l x h tiles, numbered row-wise
             R, S = (i - 1) // h, (j - 1) // l
             textbook = l * h * ((R + S) ** 2 + 3 * R + S) // 2 + l * (i - h * R - S - 1) + j
             assert textbook == n
-            assert rect_encode(i, j, spec) == n
+            assert encode(i, j) == n
 
 
 def test_unit_tile_reduction_all_orders():
     unit = parse_tiling_spec("const:1x1")
+    encoders = [rect_encoder(unit, order) for order in tiling.ORDERS]
     for i in range(1, 200):
         for j in range(1, 201 - i):
             expected = pairing.cantor_encode(i, j)
-            for order in tiling.ORDERS:
-                assert rect_encode(i, j, unit, order) == expected
+            for encode in encoders:
+                assert encode(i, j) == expected
 
 
 def test_tile_interior_contiguity():
@@ -138,24 +163,26 @@ def test_tile_interior_contiguity():
     # tile must own one contiguous block of length height * length
     mixed = TilingSpec(list_rule([2, 1, 3]), list_rule([1, 2, 3]))
     for spec, diagonals in ((CONST32, 7), (RAMP, 6), (mixed, 2)):
-        count = spec.diag_cells(diagonals)
+        count = spec._cells_ahead(diagonals + 1, 0)
+        scheme = tiling_scheme(spec, "row")
         by_tile = {}
         for n in range(1, count + 1):
-            i, j = rect_decode(n, spec, "row")
-            by_tile.setdefault(locate_tile(i, j, spec), []).append(
-                rect_encode(i, j, spec)
+            i, j = schemes.decode(scheme, n)
+            by_tile.setdefault(_tile_of(i, j, spec), []).append(
+                schemes.encode(scheme, i, j)
             )
         assert len(by_tile) == (diagonals + 1) * (diagonals + 2) // 2
         for (R, S), values in by_tile.items():
-            size = spec.height(R + 1) * spec.length(S + 1)
+            size = spec.heights.side(R + 1) * spec.lengths.side(S + 1)
             assert values == list(range(min(values), min(values) + size))
 
 
 def test_decode_examples():
-    assert rect_decode(7, CONST32, "row") == (1, 4)
-    assert rect_decode(1, CONST32, "row") == (1, 1)
-    assert rect_decode(1, RAMP, "col") == (1, 1)
-    assert rect_decode(4, RAMP, "row") == (2, 1)
+    const_row, ramp_row = tiling_scheme(CONST32, "row"), tiling_scheme(RAMP, "row")
+    assert schemes.decode(const_row, 7) == (1, 4)
+    assert schemes.decode(const_row, 1) == (1, 1)
+    assert schemes.decode(tiling_scheme(RAMP, "col"), 1) == (1, 1)
+    assert schemes.decode(ramp_row, 4) == (2, 1)
 
 
 def test_decode_roundtrip_all_orders():
@@ -163,10 +190,11 @@ def test_decode_roundtrip_all_orders():
         spec = parse_tiling_spec(spec_text)
         for order in tiling.ORDERS:
             scheme = tiling_scheme(spec_text, order)
+            encode = rect_encoder(spec, order)
             for n in range(1, 800):
-                i, j = rect_decode(n, spec, order)
+                i, j = schemes.decode(scheme, n)
                 assert schemes.encode(scheme, i, j) == n, (spec_text, order, n)
-                assert rect_encode(i, j, spec, order) == n
+                assert encode(i, j) == n
 
 
 @settings(max_examples=120, deadline=None)
@@ -178,8 +206,9 @@ def test_decode_roundtrip_all_orders():
 def test_decode_roundtrip_random_const(l, h, n):
     spec = TilingSpec(const_rule(l), const_rule(h))
     for order in tiling.ORDERS:
-        i, j = rect_decode(n, spec, order)
-        assert rect_encode(i, j, spec, order) == n
+        scheme = tiling_scheme(spec, order)
+        i, j = schemes.decode(scheme, n)
+        assert schemes.encode(scheme, i, j) == n
 
 
 def test_spec_text_roundtrip():
@@ -194,9 +223,9 @@ def test_bad_specs():
         with pytest.raises(ValueError):
             parse_tiling_spec(text)
     with pytest.raises(ValueError):
-        rect_encode(1, 1, TilingSpec(const_rule(0), const_rule(2)))
+        rect_encoder(TilingSpec(const_rule(0), const_rule(2)))
     with pytest.raises(ValueError):
-        rect_encode(1, 1, CONST32, "diagonal")
+        rect_encoder(CONST32, "diagonal")
     with pytest.raises(ValueError):
         tiling.canonical_order("diagonal")
 
@@ -219,35 +248,37 @@ def test_closed_forms_match_list_sums(lengths, heights, sides, data):
     # that mixes one list with one const or ramp rule
     affine = TilingSpec(lengths, heights)
     listed = TilingSpec(
-        list_rule(affine.length(m) for m in range(1, sides + 1)),
-        list_rule(affine.height(m) for m in range(1, sides + 1)),
+        list_rule(lengths.side(m) for m in range(1, sides + 1)),
+        list_rule(heights.side(m) for m in range(1, sides + 1)),
     )
     mixed = TilingSpec(lengths, listed.heights)
     for m in range(sides + 1):
-        assert affine.lsum(m) == listed.lsum(m) == sum(lengths.side(k) for k in range(1, m + 1))
-        assert affine.hsum(m) == listed.hsum(m)
+        assert lengths.total(m) == listed.lengths.total(m) == sum(lengths.side(k) for k in range(1, m + 1))
+        assert heights.total(m) == listed.heights.total(m)
     for d in range(sides):
-        assert affine.diag_cells(d) == listed.diag_cells(d)
+        assert affine._cells_ahead(d + 1, 0) == listed._cells_ahead(d + 1, 0)
         for R in range(d + 1):  # the tile-row polynomial, which no method holds alone
             assert affine._cells_ahead(d, R) == listed._cells_ahead(d, R) == mixed._cells_ahead(d, R), (d, R)
-    for x in range(1, listed.lsum(sides) + 1):
+    for x in range(1, listed.lengths.total(sides) + 1):
         assert lengths.split(x) == listed.lengths.split(x)
-    for x in range(1, listed.hsum(sides) + 1):
+    for x in range(1, listed.heights.total(sides) + 1):
         assert heights.split(x) == listed.heights.split(x)
-    reach = listed.diag_cells(sides - 1)
+    reach = listed._cells_ahead(sides, 0)
     positions = data.draw(st.lists(st.integers(1, reach), min_size=1, max_size=40)) + [reach]
     for order in tiling.ORDERS:
+        by_list, *others = (tiling_scheme(spec, order) for spec in (listed, affine, mixed))
         for n in positions:
-            cell = rect_decode(n, listed, order)
-            for spec in (affine, mixed):
-                assert rect_decode(n, spec, order) == cell, (spec, order, n)
-            for spec in (affine, listed, mixed):
-                assert rect_encode(*cell, spec, order) == n
+            cell = schemes.decode(by_list, n)
+            for scheme in others:
+                assert schemes.decode(scheme, n) == cell, (scheme, n)
+            for scheme in (by_list, *others):
+                assert schemes.encode(scheme, *cell) == n
     with pytest.raises(SpecExhaustedError):
-        rect_decode(reach + 1, listed)
+        schemes.decode(tiling_scheme(listed), reach + 1)
     # mixed's lengths never run out, so its tiles go on along tile diagonal
     # ``sides`` up to the first one past the end of its heights list
-    assert rect_decode(reach + 1, mixed) == oracle.traverse(tiling_scheme(mixed), reach + 1)[-1]
+    mixed_row = tiling_scheme(mixed)
+    assert schemes.decode(mixed_row, reach + 1) == oracle.traverse(mixed_row, reach + 1)[-1]
 
 
 _list_rules = st.lists(st.integers(1, 5), min_size=1, max_size=8).map(list_rule)
@@ -281,16 +312,17 @@ def test_list_counts_match_loop_sums(lengths, data):
     heights = draw(_list_rules if lengths.affine else _any_rules)
     spec, loop = TilingSpec(lengths, heights), LoopTilingSpec(lengths, heights)
     sides = min(len(rule.values) for rule in (lengths, heights) if not rule.affine)
-    reach = loop.diag_cells(sides - 1)
+    reach = loop._cells_ahead(sides, 0)
     for d in draw(st.lists(st.integers(-3, sides + 3), min_size=1, max_size=6)):
-        assert _outcome(spec.diag_cells, d) == _outcome(loop.diag_cells, d), d
+        assert _outcome(spec._cells_ahead, d + 1, 0) == _outcome(loop._cells_ahead, d + 1, 0), d
     cells = draw(st.lists(st.tuples(st.integers(1, 50), st.integers(1, 50)), min_size=1, max_size=8))
     positions = draw(st.lists(st.integers(1, reach + 40), min_size=1, max_size=8)) + [reach, reach + 1]
     for order in tiling.ORDERS:
+        by_spec, by_loop = tiling_scheme(spec, order), tiling_scheme(loop, order)
         for i, j in cells:
-            assert _outcome(rect_encode, i, j, spec, order) == _outcome(rect_encode, i, j, loop, order)
+            assert _outcome(by_spec.encoder, i, j) == _outcome(by_loop.encoder, i, j)
         for n in positions:
-            assert _outcome(rect_decode, n, spec, order) == _outcome(rect_decode, n, loop, order)
+            assert _outcome(schemes.decode, by_spec, n) == _outcome(schemes.decode, by_loop, n)
     # _cells_ahead(d, R), the one count per cell of a list spec's encoder, for
     # every tile of tile diagonals -1 to past the longer list's end: lengths
     # to d are read before heights to d, before lengths to d + 1
@@ -300,16 +332,16 @@ def test_list_counts_match_loop_sums(lengths, data):
             assert _outcome(spec._cells_ahead, d, R) == _outcome(loop._cells_ahead, d, R), (d, R)
 
 
-def _reference_encode(i, j, loop, order):
+def _reference_encode(i, j, loop, encode):
     # the checks in their documented order: the cell, the heights split, the
-    # lengths split, then the counts and the side
+    # lengths split, then the counts and the side; encode is bound to loop
     try:
         pairing._check_cell(i, j)
         loop.heights.split(i)
         loop.lengths.split(j)
     except Exception as exc:  # noqa: BLE001 - the type and message are what is compared
         return type(exc), str(exc)
-    return _outcome(rect_encode, i, j, loop, order)
+    return _outcome(encode, i, j)
 
 
 _coordinates = st.one_of(st.integers(-3, 0), st.integers(1, 60), st.integers(1, 10**30))
@@ -320,14 +352,15 @@ _coordinates = st.one_of(st.integers(-3, 0), st.integers(1, 60), st.integers(1, 
        st.lists(st.tuples(_coordinates, _coordinates), min_size=1, max_size=8))
 @example(list_rule([1, 3, 1]), list_rule([2, 1]), "row", [(4, 6)])
 def test_bound_encoder_matches_loop_spec(lengths, heights, order, cells):
-    # a scheme's encoder, bound once, gives what rect_encode gives on a spec
+    # a scheme's encoder, bound once, gives what rect_encoder gives on a spec
     # that counts by loop sums: the same position, or past a list's end or
     # off the grid the same exception with the same message; past the end of
     # both lists, as in the example, the heights' list is the one reported
     scheme = tiling_scheme(TilingSpec(lengths, heights), order)
     loop = LoopTilingSpec(lengths, heights)
+    loop_encode = rect_encoder(loop, order)
     for i, j in cells:
-        assert _outcome(schemes.encode, scheme, i, j) == _reference_encode(i, j, loop, order)
+        assert _outcome(schemes.encode, scheme, i, j) == _reference_encode(i, j, loop, loop_encode)
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,12 +368,13 @@ def test_bound_encoder_matches_loop_spec(lengths, heights, order, cells):
        st.integers(1, 10**30), st.integers(1, 10**15), st.integers(1, 10**15))
 def test_roundtrip_far_out(lengths, heights, order, n, i, j):
     spec = TilingSpec(lengths, heights)
-    ci, cj = rect_decode(n, spec, order)
-    assert rect_encode(ci, cj, spec, order) == n
-    R, S = locate_tile(ci, cj, spec)
-    assert spec.hsum(R) < ci <= spec.hsum(R + 1)
-    assert spec.lsum(S) < cj <= spec.lsum(S + 1)
-    assert rect_decode(rect_encode(i, j, spec, order), spec, order) == (i, j)
+    scheme = tiling_scheme(spec, order)
+    ci, cj = schemes.decode(scheme, n)
+    assert schemes.encode(scheme, ci, cj) == n
+    R, S = _tile_of(ci, cj, spec)
+    assert heights.total(R) < ci <= heights.total(R + 1)
+    assert lengths.total(S) < cj <= lengths.total(S + 1)
+    assert schemes.decode(scheme, schemes.encode(scheme, i, j)) == (i, j)
 
 
 @settings(max_examples=40, deadline=None)
@@ -497,14 +531,15 @@ def _specs():
 
 
 def _tiling_calls(ramp, listed, mixed):
-    out = [ramp.lsum(20_000), ramp.hsum(20_000), ramp.diag_cells(300),
-           listed.lsum(15), listed.diag_cells(14), mixed.diag_cells(14)]
+    out = [ramp.lengths.total(20_000), ramp.heights.total(20_000), ramp._cells_ahead(301, 0),
+           listed.lengths.total(15), listed._cells_ahead(15, 0), mixed._cells_ahead(15, 0)]
     for spec, top in ((ramp, 10**6), (listed, 2_229), (mixed, MIXED15_REACH)):
         for order in tiling.ORDERS:
+            scheme = tiling_scheme(spec, order)
             for n in range(1, top, top // 10):
-                i, j = rect_decode(n, spec, order)
-                out.append((i, j, rect_encode(i, j, spec, order)))
-            out.append(rect_encode(9, 12, spec, order))
+                i, j = schemes.decode(scheme, n)
+                out.append((i, j, schemes.encode(scheme, i, j)))
+            out.append(schemes.encode(scheme, 9, 12))
     return out
 
 
