@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gridseq import oracle, pairing, schemes, tiling
 from gridseq.schemes import tiling_scheme
 from gridseq.tiling import (
+    SideRule,
     SpecExhaustedError,
     TilingSpec,
     const_rule,
@@ -226,6 +227,8 @@ def test_bad_specs():
         rect_encoder(TilingSpec(const_rule(0), const_rule(2)))
     with pytest.raises(ValueError):
         rect_encoder(CONST32, "diagonal")
+    with pytest.raises(ValueError, match="constant tile side rule must have step 0"):
+        SideRule("const", start=3, step=1)
     with pytest.raises(ValueError):
         tiling.canonical_order("diagonal")
 
